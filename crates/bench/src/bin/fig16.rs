@@ -58,7 +58,6 @@ fn main() {
             QueryOptions {
                 use_ts_index: false,
                 use_chunk_index: false,
-                use_columnar: true,
                 parallelism: None,
             },
         ),
@@ -67,7 +66,6 @@ fn main() {
             QueryOptions {
                 use_ts_index: true,
                 use_chunk_index: false,
-                use_columnar: true,
                 parallelism: None,
             },
         ),
@@ -76,7 +74,6 @@ fn main() {
             QueryOptions {
                 use_ts_index: false,
                 use_chunk_index: true,
-                use_columnar: true,
                 parallelism: None,
             },
         ),
@@ -85,7 +82,6 @@ fn main() {
             QueryOptions {
                 use_ts_index: true,
                 use_chunk_index: true,
-                use_columnar: true,
                 parallelism: None,
             },
         ),
@@ -106,7 +102,6 @@ fn main() {
         .options(QueryOptions {
             use_ts_index: false,
             use_chunk_index: false,
-            use_columnar: true,
             parallelism: None,
         })
         .scan(|_| sink += 1)

@@ -12,7 +12,8 @@
 //! 2. `Ordering::SeqCst` needs an `// ORDERING:` justification.
 //! 3. unwrap ratchet against `crates/lint/unwrap_baseline.txt` in the
 //!    hot paths; the baseline itself is checked for stale entries.
-//! 4. no removed pre-builder query API, no opt-out.
+//! 4. no removed pre-builder query API and no name of the retired
+//!    chunk-decode fork, no opt-out.
 //! 5. failpoint site-name uniqueness (one owner per name).
 //! 6. no `Config { .. }` literals outside the config module.
 //!
@@ -59,7 +60,8 @@ pub enum Rule {
     SeqCstJustification,
     /// unwrap/expect growth in hot paths beyond the baseline.
     UnwrapRatchet,
-    /// Call of a removed pre-builder query entry point.
+    /// Call of a removed pre-builder query entry point, or a name of the
+    /// retired record-at-a-time decode fork.
     DeprecatedQueryApi,
     /// Failpoint site name owned by more than one definition site, or
     /// missing from DESIGN.md.

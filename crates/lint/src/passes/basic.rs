@@ -151,21 +151,43 @@ const REMOVED_CALLS: &[&str] = &[
     "bin_counts_opt",
 ];
 
-/// Rule 4: no calls of the removed pre-builder query API, anywhere.
+/// Names of the retired record-at-a-time decode fork, matched as bare
+/// identifiers (field, function or type, in any position).
+const REMOVED_IDENTS: &[&str] = &["use_columnar", "decode_mode", "DecodeMode"];
+
+/// Rule 4: no calls of the removed pre-builder query API, anywhere, and
+/// no identifier of the retired chunk-decode fork.
 ///
 /// The entry points were deleted after their deprecation cycle; there
 /// is no definition file and no `#[allow(deprecated)]` opt-out any
 /// more — any reappearance as a method call is a violation.
 /// `.bin_counts(` was both the removed 3-arg entry point and the
 /// builder terminal; only the call *with arguments* is banned.
+///
+/// The decode fork (a per-query switch between columnar and
+/// record-at-a-time chunk decode) was collapsed at parity; its names may
+/// not come back as a field, function or type.
 pub fn check_deprecated_api(file: &SourceFile) -> Vec<Violation> {
     let toks = file.code_toks();
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if crate::TokKind::Ident != t.kind
-            || i == 0
-            || !toks[i - 1].is_punct('.')
-            || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        if crate::TokKind::Ident != t.kind {
+            continue;
+        }
+        if REMOVED_IDENTS.contains(&t.text.as_str()) {
+            out.push(Violation {
+                file: file.path.clone(),
+                line: t.line,
+                rule: Rule::DeprecatedQueryApi,
+                message: format!(
+                    "`{}` belongs to the retired record-at-a-time decode fork; \
+                     `columnar::decode_chunk` is the one way to read a chunk piece",
+                    t.text
+                ),
+            });
+            continue;
+        }
+        if i == 0 || !toks[i - 1].is_punct('.') || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
         {
             continue;
         }
@@ -501,6 +523,30 @@ mod tests {
         assert!(check_deprecated_api(&doc).is_empty());
         let s = f("crates/x.rs", "let s = \".indexed_scan(a)\";\n");
         assert!(check_deprecated_api(&s).is_empty());
+    }
+
+    #[test]
+    fn retired_decode_fork_names_flagged_in_any_position() {
+        // Seeded violations: the field, the planner function, the enum.
+        for bad in [
+            "let o = QueryOptions { use_columnar: false, ..d };\n",
+            "opts.use_columnar = false;\n",
+            "let mode = planner::decode_mode(meta, opts);\n",
+            "pub(crate) enum DecodeMode { Columnar(ExtractorDesc), RecordAtATime }\n",
+            "match mode { DecodeMode::RecordAtATime => walk(), _ => decode() }\n",
+        ] {
+            let v = check_deprecated_api(&f("crates/loom/src/query/planner.rs", bad));
+            assert_eq!(rules(&v), vec![Rule::DeprecatedQueryApi], "{bad}");
+            assert!(v[0].message.contains("decode fork"), "{}", v[0].message);
+        }
+
+        // The hidden no-op the frozen benchmark still calls is allowed,
+        // and so are mentions in comments and strings.
+        let ok = f(
+            "benchmark/src/layers.rs",
+            "// was: use_columnar\nlet o = defaults.with_columnar(false); let s = \"decode_mode\";\n",
+        );
+        assert!(check_deprecated_api(&ok).is_empty());
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub enum ManifestRecord {
         bounds: Vec<f64>,
         /// Declarative extractor, if the index was defined through one;
         /// `None` for closure-based indexes, which cannot be rebuilt and
-        /// are restored closed.
+        /// are restored closed and unqueryable.
         desc: Option<ExtractorDesc>,
     },
     /// An index was closed.

@@ -1123,10 +1123,10 @@ impl Loom {
     ///
     /// The index covers only data arriving after its definition (§5.3);
     /// older chunks are not re-indexed. A closure-based index cannot be
-    /// persisted as code, so after a reopen it is restored *closed*:
-    /// summaries already in the chunk index keep serving queries, but new
-    /// chunks are not indexed. Use [`Loom::define_index_desc`] for an
-    /// index that survives a reopen in full.
+    /// persisted as code, so after a reopen it is restored *closed* and
+    /// without its extractor: new chunks are not indexed, and queries on
+    /// it fail with [`LoomError::ExtractorLost`]. Use
+    /// [`Loom::define_index_desc`] for an index that survives a reopen.
     ///
     /// # Errors
     ///

@@ -47,6 +47,16 @@ pub enum LoomError {
         /// ([`Config::max_record_payload`](crate::Config::max_record_payload)).
         max_payload: usize,
     },
+    /// The index was defined with a closure extractor
+    /// ([`Loom::define_index`](crate::Loom::define_index)) and the engine
+    /// has been reopened since: closures are not persisted, so the
+    /// index's values can no longer be extracted and queries on it are
+    /// refused. Define indexes that must survive a reopen with
+    /// [`Loom::define_index_desc`](crate::Loom::define_index_desc).
+    ExtractorLost {
+        /// The index whose extractor did not survive the reopen.
+        index: u32,
+    },
     /// A histogram definition is invalid (e.g., unsorted or empty boundaries).
     InvalidHistogram(String),
     /// The requested address lies beyond the end of the log.
@@ -132,6 +142,11 @@ impl fmt::Display for LoomError {
                 f,
                 "extractor field of {width} bytes at offset {offset} ends past the \
                  maximum record payload of {max_payload} bytes"
+            ),
+            LoomError::ExtractorLost { index } => write!(
+                f,
+                "index {index} was defined with a closure extractor, which a reopen cannot \
+                 restore; redefine it with define_index_desc to query it"
             ),
             LoomError::InvalidHistogram(msg) => write!(f, "invalid histogram: {msg}"),
             LoomError::AddressOutOfBounds { addr, tail } => {

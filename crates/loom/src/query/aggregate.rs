@@ -12,7 +12,8 @@
 //! set.
 //!
 //! Exact chunk scans (the partially-covered chunks of every aggregate and
-//! the value collection of percentile phase B) are independent per chunk,
+//! the value collection of percentile phase B) decode each chunk into
+//! columns (`super::columnar`) and are independent per chunk,
 //! so they run on the worker pool when `QueryOptions::parallelism` (or
 //! `Config::query_threads`) asks for more than one thread. Both the serial
 //! and parallel paths produce one partial result *per chunk* and merge
@@ -22,8 +23,8 @@
 
 use super::columnar::{self, ScanBuffers};
 use super::executor;
-use super::planner::{self, DecodeMode};
-use super::view::{QueryView, RegionScan, ScanControl};
+use super::planner::{self, SummaryPlan};
+use super::view::{QueryView, RegionScan};
 use super::{Aggregate, AggregateResult, IndexMeta, QueryOptions, TimeRange};
 use crate::error::{LoomError, Result};
 use crate::obs::{QueryPhases, Stopwatch};
@@ -70,95 +71,67 @@ where
     Ok(results)
 }
 
-/// Per-chunk exact bin counting: one `counts`-shaped vector per chunk.
-fn count_chunk_exact(
+/// Decodes the chunk piece at `chunk_addr` and hands `each` the extracted
+/// value of every record of the index's source inside `range`, in chunk
+/// order.
+fn chunk_values(
     view: &QueryView<'_>,
     meta: &IndexMeta,
-    range: TimeRange,
-    bin_count: usize,
-    mode: DecodeMode,
-    bufs: &mut ScanBuffers,
     chunk_addr: u64,
-) -> Result<(Vec<u64>, RegionScan)> {
-    let mut counts = vec![0u64; bin_count];
-    match mode {
-        DecodeMode::Columnar(desc) => {
-            let out = columnar::decode_chunk(
-                view,
-                chunk_addr,
-                meta.source.0,
-                desc,
-                Some(range.end),
-                bufs,
-            )?;
-            let selected = bufs.cols.select_time(range);
-            view.obs
-                .query
-                .columnar_batch(bufs.cols.len() as u64, selected);
-            for v in bufs.cols.selected_values() {
-                if let Some(bin) = meta.spec.bin_of(v) {
-                    counts[bin] += 1;
-                }
-            }
-            Ok((counts, out.scan))
-        }
-        DecodeMode::RecordAtATime => {
-            let out = view.scan_chunk_with_buf(chunk_addr, &mut bufs.chunk, |rec| {
-                if rec.header.ts > range.end {
-                    return ScanControl::Stop;
-                }
-                if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-                    if let Some(v) = (meta.extractor)(rec.payload) {
-                        if let Some(bin) = meta.spec.bin_of(v) {
-                            counts[bin] += 1;
-                        }
-                    }
-                }
-                ScanControl::Continue
-            })?;
-            Ok((counts, out))
-        }
-    }
+    range: TimeRange,
+    stop_after: Option<u64>,
+    bufs: &mut ScanBuffers,
+    each: impl FnMut(f64),
+) -> Result<RegionScan> {
+    let out = columnar::decode_chunk(view, meta, chunk_addr, range, None, stop_after, bufs)?;
+    bufs.cols.selected_values().for_each(each);
+    Ok(out.scan)
 }
 
-/// Exact bin counting for the unsummarized tail region (always serial:
-/// the region is at most one chunk of not-yet-sealed data).
-fn count_region_exact(
+/// [`chunk_values`] over the unsummarized tail region, when the plan says
+/// it can hold records in range (always serial: the region is at most one
+/// chunk of not-yet-sealed data).
+fn tail_values(
     view: &QueryView<'_>,
     meta: &IndexMeta,
     range: TimeRange,
-    plan_region_start: u64,
-    counts: &mut [u64],
+    plan: &SummaryPlan,
     stats: &mut QueryStats,
+    phases: &mut QueryPhases,
+    mut each: impl FnMut(f64),
 ) -> Result<()> {
-    let out = view.scan_region(plan_region_start, view.rec.watermark(), |rec| {
-        if rec.header.ts > range.end {
-            return ScanControl::Stop;
-        }
-        if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-            if let Some(v) = (meta.extractor)(rec.payload) {
-                if let Some(bin) = meta.spec.bin_of(v) {
-                    counts[bin] += 1;
-                }
-            }
-        }
-        ScanControl::Continue
+    if !plan.region_relevant {
+        return Ok(());
+    }
+    let tail_timer = Stopwatch::start();
+    let from = plan.region_start;
+    columnar::decode_forward(view, meta, from, range, None, stats, |bufs, _| {
+        bufs.cols.selected_values().for_each(&mut each)
     })?;
-    out.fold_into(stats);
+    phases.tail_scan_nanos += tail_timer.elapsed_nanos();
     Ok(())
 }
 
-/// Computes the per-bin record counts for an index over a time range
-/// (the CDF of §4.3, exposed for composition — e.g., the distributed
-/// coordinator merges per-node bin counts before selecting a global
-/// percentile bin).
-pub(crate) fn bin_counts(
+/// The per-bin record counts of an index over a time range, plus what
+/// percentile phase B needs to revisit the same chunks.
+struct BinCounts {
+    plan: SummaryPlan,
+    counts: Vec<u64>,
+    /// Chunks only partially inside the range (counted exactly).
+    partial_chunks: Vec<u64>,
+    stats: QueryStats,
+}
+
+/// Counts records per bin (bins as a CDF, §4.3): summary bins for chunks
+/// fully inside `range`, exact decode for partially covered chunks and
+/// the tail region.
+fn count_bins(
     view: &QueryView<'_>,
     meta: &IndexMeta,
     range: TimeRange,
     opts: QueryOptions,
     phases: &mut QueryPhases,
-) -> Result<(Vec<u64>, QueryStats)> {
+) -> Result<BinCounts> {
     let mut stats = QueryStats {
         workers_used: 1,
         ..QueryStats::default()
@@ -194,15 +167,25 @@ pub(crate) fn bin_counts(
     phases.select_nanos += select_timer.elapsed_nanos();
     view.obs.index.summary_probes(stats.summaries_scanned);
     view.obs.index.chunk_hits(partial_chunks.len() as u64);
-    let mode = planner::decode_mode(meta, opts);
     let workers = view.workers(opts.parallelism, partial_chunks.len());
     stats.workers_used = stats.workers_used.max(workers as u64);
     if workers > 1 {
         view.obs.query.pool_tasks(partial_chunks.len() as u64);
     }
     let scan_timer = Stopwatch::start();
+    let count = |counts: &mut [u64], v: f64| {
+        if let Some(bin) = meta.spec.bin_of(v) {
+            counts[bin] += 1;
+        }
+    };
+    // One `counts`-shaped vector per chunk, summed in chunk order.
     let per_chunk = for_chunks(view, workers, &partial_chunks, &mut stats, |bufs, addr| {
-        count_chunk_exact(view, meta, range, bin_count, mode, bufs, addr)
+        let mut chunk_counts = vec![0u64; bin_count];
+        let stop = Some(range.end);
+        let out = chunk_values(view, meta, addr, range, stop, bufs, |v| {
+            count(&mut chunk_counts, v)
+        })?;
+        Ok((chunk_counts, out))
     })?;
     for chunk_counts in per_chunk {
         for (total, c) in counts.iter_mut().zip(chunk_counts) {
@@ -210,19 +193,30 @@ pub(crate) fn bin_counts(
         }
     }
     phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
-    if plan.region_relevant {
-        let tail_timer = Stopwatch::start();
-        count_region_exact(
-            view,
-            meta,
-            range,
-            plan.region_start,
-            &mut counts,
-            &mut stats,
-        )?;
-        phases.tail_scan_nanos += tail_timer.elapsed_nanos();
-    }
-    Ok((counts, stats))
+    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
+        count(&mut counts, v)
+    })?;
+    Ok(BinCounts {
+        plan,
+        counts,
+        partial_chunks,
+        stats,
+    })
+}
+
+/// Computes the per-bin record counts for an index over a time range
+/// (the CDF of §4.3, exposed for composition — e.g., the distributed
+/// coordinator merges per-node bin counts before selecting a global
+/// percentile bin).
+pub(crate) fn bin_counts(
+    view: &QueryView<'_>,
+    meta: &IndexMeta,
+    range: TimeRange,
+    opts: QueryOptions,
+    phases: &mut QueryPhases,
+) -> Result<(Vec<u64>, QueryStats)> {
+    let counted = count_bins(view, meta, range, opts, phases)?;
+    Ok((counted.counts, counted.stats))
 }
 
 /// Executes an indexed aggregate over `view`.
@@ -350,10 +344,8 @@ fn distributive(
     view.obs.index.chunk_hits(partial_chunks.len() as u64);
 
     // Exact aggregation for chunks only partially inside the time range:
-    // one partial accumulator per chunk, merged in chunk order. The
-    // columnar path feeds the selected values to the *same* accumulator
-    // in the same chunk order, so float association is unchanged.
-    let mode = planner::decode_mode(meta, opts);
+    // one partial accumulator per chunk, merged in chunk order, so float
+    // association is the same for every pool size.
     let workers = view.workers(opts.parallelism, partial_chunks.len());
     stats.workers_used = stats.workers_used.max(workers as u64);
     if workers > 1 {
@@ -362,57 +354,21 @@ fn distributive(
     let scan_timer = Stopwatch::start();
     let per_chunk = for_chunks(view, workers, &partial_chunks, &mut stats, |bufs, addr| {
         let mut chunk_acc = Acc::new();
-        match mode {
-            DecodeMode::Columnar(desc) => {
-                let out =
-                    columnar::decode_chunk(view, addr, meta.source.0, desc, Some(range.end), bufs)?;
-                let selected = bufs.cols.select_time(range);
-                view.obs
-                    .query
-                    .columnar_batch(bufs.cols.len() as u64, selected);
-                for v in bufs.cols.selected_values() {
-                    chunk_acc.observe(v);
-                }
-                Ok((chunk_acc, out.scan))
-            }
-            DecodeMode::RecordAtATime => {
-                let out = view.scan_chunk_with_buf(addr, &mut bufs.chunk, |rec| {
-                    if rec.header.ts > range.end {
-                        return ScanControl::Stop;
-                    }
-                    if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-                        if let Some(v) = (meta.extractor)(rec.payload) {
-                            chunk_acc.observe(v);
-                        }
-                    }
-                    ScanControl::Continue
-                })?;
-                Ok((chunk_acc, out))
-            }
-        }
+        let stop = Some(range.end);
+        let out = chunk_values(view, meta, addr, range, stop, bufs, |v| {
+            chunk_acc.observe(v)
+        })?;
+        Ok((chunk_acc, out))
     })?;
     for chunk_acc in &per_chunk {
         acc.merge(chunk_acc);
     }
     phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
-    if plan.region_relevant {
-        let tail_timer = Stopwatch::start();
-        let mut region_acc = Acc::new();
-        let out = view.scan_region(plan.region_start, view.rec.watermark(), |rec| {
-            if rec.header.ts > range.end {
-                return ScanControl::Stop;
-            }
-            if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-                if let Some(v) = (meta.extractor)(rec.payload) {
-                    region_acc.observe(v);
-                }
-            }
-            ScanControl::Continue
-        })?;
-        out.fold_into(&mut stats);
-        acc.merge(&region_acc);
-        phases.tail_scan_nanos += tail_timer.elapsed_nanos();
-    }
+    let mut region_acc = Acc::new();
+    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
+        region_acc.observe(v)
+    })?;
+    acc.merge(&region_acc);
 
     Ok(AggregateResult {
         value: acc.finish(method),
@@ -429,71 +385,14 @@ fn percentile(
     opts: QueryOptions,
     phases: &mut QueryPhases,
 ) -> Result<AggregateResult> {
-    let mut stats = QueryStats {
-        workers_used: 1,
-        ..QueryStats::default()
-    };
-    let plan_timer = Stopwatch::start();
-    let plan = planner::plan(view, range)?;
-    phases.plan_nanos += plan_timer.elapsed_nanos();
-    let bin_count = meta.spec.bin_count();
-
     // Phase A: per-bin counts across the range (bins as a CDF).
-    let mut counts = vec![0u64; bin_count];
-    let mut partial_chunks: Vec<u64> = Vec::new();
-    let select_timer = Stopwatch::start();
-    planner::for_each_relevant_summary(
-        view,
-        &plan,
-        range,
-        &mut stats.summaries_scanned,
-        |summary, fully| {
-            if !summary.has_source(meta.source.0) {
-                return Ok(());
-            }
-            if fully {
-                if let Some(bins) = summary.index_bins(meta.id.0) {
-                    for (bin, s) in bins {
-                        counts[*bin as usize] += s.count;
-                    }
-                }
-            } else {
-                partial_chunks.push(summary.chunk_addr);
-            }
-            Ok(())
-        },
-    )?;
-    phases.select_nanos += select_timer.elapsed_nanos();
-    view.obs.index.summary_probes(stats.summaries_scanned);
-    view.obs.index.chunk_hits(partial_chunks.len() as u64);
-    let mode = planner::decode_mode(meta, opts);
-    let workers = view.workers(opts.parallelism, partial_chunks.len());
-    stats.workers_used = stats.workers_used.max(workers as u64);
-    if workers > 1 {
-        view.obs.query.pool_tasks(partial_chunks.len() as u64);
-    }
-    let scan_timer = Stopwatch::start();
-    let per_chunk = for_chunks(view, workers, &partial_chunks, &mut stats, |bufs, addr| {
-        count_chunk_exact(view, meta, range, bin_count, mode, bufs, addr)
-    })?;
-    for chunk_counts in per_chunk {
-        for (total, c) in counts.iter_mut().zip(chunk_counts) {
-            *total += c;
-        }
-    }
-    phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
-    if plan.region_relevant {
-        let tail_timer = Stopwatch::start();
-        count_region_exact(
-            view,
-            meta,
-            range,
-            plan.region_start,
-            &mut counts,
-            &mut stats,
-        )?;
-        phases.tail_scan_nanos += tail_timer.elapsed_nanos();
-    }
+    let BinCounts {
+        plan,
+        counts,
+        partial_chunks,
+        mut stats,
+    } = count_bins(view, meta, range, opts, phases)?;
+    let bin_count = counts.len();
 
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -550,60 +449,26 @@ fn percentile(
         view.obs.query.pool_tasks(phase_b_chunks.len() as u64);
     }
     let scan_b_timer = Stopwatch::start();
+    let in_target = |v: f64| meta.spec.bin_of(v) == Some(target_bin);
+    // No early stop: a fully-covered chunk has nothing past the range,
+    // and reading the partial ones to the end keeps `records_scanned`
+    // what the equivalence suites pin.
     let per_chunk = for_chunks(view, workers, &phase_b_chunks, &mut stats, |bufs, addr| {
-        let mut chunk_values: Vec<f64> = Vec::new();
-        match mode {
-            DecodeMode::Columnar(desc) => {
-                // No early stop here: the record path scans phase-B chunks
-                // in full, and decode must visit the same records for the
-                // scan counters to stay identical.
-                let out = columnar::decode_chunk(view, addr, meta.source.0, desc, None, bufs)?;
-                let selected = bufs.cols.select_time(range);
-                view.obs
-                    .query
-                    .columnar_batch(bufs.cols.len() as u64, selected);
-                for v in bufs.cols.selected_values() {
-                    if meta.spec.bin_of(v) == Some(target_bin) {
-                        chunk_values.push(v);
-                    }
-                }
-                Ok((chunk_values, out.scan))
+        let mut in_bin: Vec<f64> = Vec::new();
+        let out = chunk_values(view, meta, addr, range, None, bufs, |v| {
+            if in_target(v) {
+                in_bin.push(v);
             }
-            DecodeMode::RecordAtATime => {
-                let out = view.scan_chunk_with_buf(addr, &mut bufs.chunk, |rec| {
-                    if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-                        if let Some(v) = (meta.extractor)(rec.payload) {
-                            if meta.spec.bin_of(v) == Some(target_bin) {
-                                chunk_values.push(v);
-                            }
-                        }
-                    }
-                    ScanControl::Continue
-                })?;
-                Ok((chunk_values, out))
-            }
-        }
+        })?;
+        Ok((in_bin, out))
     })?;
     let mut values: Vec<f64> = per_chunk.into_iter().flatten().collect();
     phases.chunk_scan_nanos += scan_b_timer.elapsed_nanos();
-    if plan.region_relevant {
-        let tail_b_timer = Stopwatch::start();
-        let out = view.scan_region(plan.region_start, view.rec.watermark(), |rec| {
-            if rec.header.ts > range.end {
-                return ScanControl::Stop;
-            }
-            if rec.header.source == meta.source.0 && range.contains(rec.header.ts) {
-                if let Some(v) = (meta.extractor)(rec.payload) {
-                    if meta.spec.bin_of(v) == Some(target_bin) {
-                        values.push(v);
-                    }
-                }
-            }
-            ScanControl::Continue
-        })?;
-        out.fold_into(&mut stats);
-        phases.tail_scan_nanos += tail_b_timer.elapsed_nanos();
-    }
+    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
+        if in_target(v) {
+            values.push(v);
+        }
+    })?;
 
     if values.len() < rank_in_bin as usize {
         return Err(LoomError::Corrupt(format!(

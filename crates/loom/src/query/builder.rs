@@ -119,7 +119,10 @@ impl<'a> Query<'a> {
     ///
     /// [`LoomError::InvalidQuery`] for a value range without an index,
     /// [`LoomError::UnknownIndex`] / [`LoomError::UnknownSource`] when
-    /// the named index or source does not exist, and
+    /// the named index or source does not exist,
+    /// [`LoomError::ExtractorLost`] for a closure-defined index after a
+    /// reopen (define it with
+    /// [`define_index_desc`](Loom::define_index_desc) instead), and
     /// [`LoomError::CorruptLog`] if a chunk fails validation mid-scan.
     pub fn scan<F>(self, mut f: F) -> Result<QueryStats>
     where
@@ -176,7 +179,10 @@ impl<'a> Query<'a> {
     ///
     /// [`LoomError::InvalidQuery`] without an index or with a value
     /// range, [`LoomError::UnknownIndex`] /
-    /// [`LoomError::UnknownSource`] for unknown names, and
+    /// [`LoomError::UnknownSource`] for unknown names,
+    /// [`LoomError::ExtractorLost`] for a closure-defined index after a
+    /// reopen (define it with
+    /// [`define_index_desc`](Loom::define_index_desc) instead), and
     /// [`LoomError::CorruptLog`] on a chunk that fails validation.
     pub fn aggregate(self, method: Aggregate) -> Result<AggregateResult> {
         let timer = Stopwatch::start();
@@ -210,7 +216,10 @@ impl<'a> Query<'a> {
     ///
     /// [`LoomError::InvalidQuery`] without an index or with a value
     /// range, [`LoomError::UnknownIndex`] /
-    /// [`LoomError::UnknownSource`] for unknown names, and
+    /// [`LoomError::UnknownSource`] for unknown names,
+    /// [`LoomError::ExtractorLost`] for a closure-defined index after a
+    /// reopen (define it with
+    /// [`define_index_desc`](Loom::define_index_desc) instead), and
     /// [`LoomError::CorruptLog`] on a chunk that fails validation.
     pub fn bin_counts(self) -> Result<(Vec<u64>, QueryStats)> {
         let timer = Stopwatch::start();

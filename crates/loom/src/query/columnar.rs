@@ -1,20 +1,19 @@
-//! Columnar batch decode and selection kernels for sealed chunks.
+//! Chunk decode: the one way indexed queries read a chunk piece.
 //!
-//! The record-at-a-time scan path walks a chunk with [`ChunkIter`],
-//! calling a closure per record that re-decodes the header, dispatches
-//! through an `Arc<dyn Fn>` extractor, and branches on every predicate.
-//! For descriptor-defined indexes (fixed-offset binary fields, the
-//! overwhelmingly common case) all of that work is data-independent, so
-//! this module decodes a chunk **once** into struct-of-arrays column
-//! buffers and evaluates predicates and aggregates as tight loops over
-//! those columns:
+//! Every operator in `indexed_scan` and `aggregate` — over sealed chunks
+//! and over the unsummarized tail alike — reads a chunk piece by decoding
+//! it **once** into struct-of-arrays column buffers and evaluating
+//! predicates and aggregates as tight loops over those columns:
 //!
-//! 1. [`ColumnBatch::decode`] parses the chunk's entries exactly like
+//! 1. [`ColumnBatch::decode_rows`] parses the piece's entries exactly like
 //!    `ChunkIter` (same pad skipping, zeroed-tail termination, CRC
 //!    verification, and corruption errors) and appends one row per record
 //!    of the queried source: log address, timestamp, payload offset and
 //!    length, and the extracted value (plus a validity byte for payloads
-//!    too short for the field).
+//!    the extractor returned `None` for). Descriptor-defined indexes get
+//!    a decode loop monomorphized per field type
+//!    ([`ColumnBatch::decode`]); closure-defined indexes fill the same
+//!    columns through one `Arc<dyn Fn>` call per row of their source.
 //! 2. [`ColumnBatch::select`] / [`ColumnBatch::select_time`] evaluate the
 //!    time- and value-range predicates as a branch-free byte mask over
 //!    the columns (integer compares only — no float arithmetic, so the
@@ -23,12 +22,10 @@
 //!    [`ColumnBatch::emit`] for scans, [`ColumnBatch::selected_values`]
 //!    for aggregate accumulators — with no per-record closure dispatch.
 //!
-//! Results are bit-identical to the record-at-a-time path: the decode
-//! loop reproduces `ChunkIter`'s semantics (including which record an
-//! early stop counts), extraction goes through the same shared
-//! little-endian readers (`crate::extract::read_*_le`), and aggregate
-//! callers feed `selected_values()` to the same accumulator in the same
-//! order, so float association is unchanged.
+//! [`decode_chunk`] runs steps 1–2 for one piece; [`decode_forward`] is
+//! the forward early-stopping piece loop shared by every tail scan and
+//! the timestamp-index-only ablation. `ChunkIter` remains the reference
+//! the decode loop is unit-tested against (and what recovery uses).
 //!
 //! The module also owns the grow-once buffer pool ([`BufferPool`]): one
 //! [`ScanBuffers`] (raw chunk bytes + column vectors) per worker, reused
@@ -39,12 +36,13 @@ use crate::sync::Mutex;
 
 use super::executor::RecordBatch;
 use super::view::{QueryView, RegionScan};
-use super::{Record, TimeRange, ValueRange};
+use super::{IndexMeta, Record, TimeRange, ValueRange};
 use crate::durability::LogId;
 use crate::error::{LoomError, Result};
 use crate::extract::{self, ExtractorDesc};
 use crate::record::{RecordHeader, RECORD_HEADER_SIZE};
 use crate::registry::SourceId;
+use crate::stats::QueryStats;
 
 /// Struct-of-arrays decode of one chunk piece, filtered to one source.
 ///
@@ -72,8 +70,8 @@ pub(crate) struct ColumnBatch {
 /// Per-batch counters returned by [`ColumnBatch::decode`].
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct BatchScan {
-    /// Non-pad records decoded (all sources), matching the
-    /// record-at-a-time `records_scanned` accounting.
+    /// Non-pad records decoded (all sources): the `records_scanned`
+    /// accounting.
     pub records: u64,
     /// Whether decode stopped early at a record past `stop_after`.
     pub stopped: bool,
@@ -108,9 +106,8 @@ impl ColumnBatch {
     /// terminates the piece, and overruns or checksum mismatches yield
     /// [`LoomError::CorruptLog`] with the entry's log address. When
     /// `stop_after` is set, the first record with a later timestamp is
-    /// counted in `records` (the callback path invokes the closure on it
-    /// before honoring the `Stop`) but excluded from the columns, and
-    /// `stopped` is reported.
+    /// counted in `records` (it was examined) but excluded from the
+    /// columns, and `stopped` is reported.
     pub fn decode(
         &mut self,
         bytes: &[u8],
@@ -154,6 +151,8 @@ impl ColumnBatch {
         }
     }
 
+    /// [`ColumnBatch::decode`] with an arbitrary value reader — how
+    /// closure-defined indexes fill the columns.
     fn decode_rows<R>(
         &mut self,
         bytes: &[u8],
@@ -262,8 +261,8 @@ impl ColumnBatch {
     }
 
     /// The extracted values of the selected rows, in chunk order —
-    /// aggregate callers feed these to the same accumulator the
-    /// record-at-a-time path uses, preserving float association exactly.
+    /// aggregate callers feed these to one accumulator per chunk, so
+    /// float association is the same for every pool size.
     pub fn selected_values(&self) -> impl Iterator<Item = f64> + '_ {
         self.sel
             .iter()
@@ -307,29 +306,30 @@ impl ColumnBatch {
 }
 
 /// Result of [`decode_chunk`]: the scan counters to fold into
-/// [`QueryStats`](crate::QueryStats) plus the batch's max timestamp.
+/// [`QueryStats`] plus what the selection kernel found.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct DecodeOut {
-    /// Counters identical to what `scan_chunk_with_buf` would report for
-    /// the same piece, with the columnar accounting fields set.
+    /// I/O and record counters for the piece.
     pub scan: RegionScan,
     /// See [`BatchScan::max_ts`].
     pub max_ts: u64,
+    /// Rows left selected in `bufs.cols`.
+    pub selected: u64,
 }
 
 /// Reads the chunk piece at `chunk_addr` (clamped to the view's
-/// watermark) into `bufs.chunk` and decodes it into `bufs.cols`.
+/// watermark) into `bufs.chunk`, decodes the queried source's records
+/// into `bufs.cols`, and selects the rows in `range` (and in `values`,
+/// when given; aggregates pass `None` and keep every extractable value).
 ///
-/// The returned counters match the record-at-a-time equivalent exactly:
-/// an empty piece (at or past the watermark) counts no chunk, and the
-/// stop/record accounting follows [`ColumnBatch::decode`]. Callers
-/// report batch observability (rows, selectivity) after running a
-/// `select*` kernel.
+/// An empty piece (at or past the watermark) counts no chunk. The
+/// stop/record accounting follows [`ColumnBatch::decode`].
 pub(crate) fn decode_chunk(
     view: &QueryView<'_>,
+    meta: &IndexMeta,
     chunk_addr: u64,
-    source: u32,
-    desc: ExtractorDesc,
+    range: TimeRange,
+    values: Option<&ValueRange>,
     stop_after: Option<u64>,
     bufs: &mut ScanBuffers,
 ) -> Result<DecodeOut> {
@@ -338,20 +338,67 @@ pub(crate) fn decode_chunk(
         bufs.cols.clear();
         return Ok(DecodeOut::default());
     }
-    let batch = bufs
-        .cols
-        .decode(&bufs.chunk[..len], chunk_addr, source, desc, stop_after)?;
+    let (bytes, source) = (&bufs.chunk[..len], meta.source.0);
+    let batch = match meta.desc {
+        Some(desc) => bufs
+            .cols
+            .decode(bytes, chunk_addr, source, desc, stop_after)?,
+        None => bufs
+            .cols
+            .decode_rows(bytes, chunk_addr, source, stop_after, &*meta.extractor)?,
+    };
+    let selected = match values {
+        Some(values) => bufs.cols.select(range, values),
+        None => bufs.cols.select_time(range),
+    };
+    let rows = bufs.cols.len() as u64;
+    view.obs.query.columnar_batch(rows, selected);
     Ok(DecodeOut {
         scan: RegionScan {
             chunks: 1,
             bytes: len as u64,
             records: batch.records,
             stopped: batch.stopped,
-            columnar_batches: 1,
-            columnar_rows: bufs.cols.len() as u64,
+            rows,
         },
         max_ts: batch.max_ts,
+        selected,
     })
+}
+
+/// Decodes `[from, watermark)` forward, piece by piece, stopping at the
+/// first record past `range.end`; after each piece's selection it folds
+/// the counters into `stats` and hands the buffers and selected-row count
+/// to `each`. `from` must be chunk-aligned.
+///
+/// This is the scan of the unsummarized tail (at most one chunk of
+/// not-yet-sealed data past the last seal) for every operator, and the
+/// whole timestamp-index-only ablation. Serial by construction: the early
+/// stop is ordered.
+pub(crate) fn decode_forward<F>(
+    view: &QueryView<'_>,
+    meta: &IndexMeta,
+    from: u64,
+    range: TimeRange,
+    values: Option<&ValueRange>,
+    stats: &mut QueryStats,
+    mut each: F,
+) -> Result<()>
+where
+    F: FnMut(&ScanBuffers, u64),
+{
+    let mut bufs = view.bufs.acquire();
+    let stop = Some(range.end);
+    for pos in (from..view.rec.watermark()).step_by(view.chunk_size as usize) {
+        let out = decode_chunk(view, meta, pos, range, values, stop, &mut bufs)?;
+        out.scan.fold_into(stats);
+        each(&bufs, out.selected);
+        if out.scan.stopped {
+            break;
+        }
+    }
+    view.bufs.release(bufs);
+    Ok(())
 }
 
 /// One worker's reusable scan scratch: the raw chunk buffer plus the
@@ -359,8 +406,7 @@ pub(crate) fn decode_chunk(
 /// and then recycled through the [`BufferPool`].
 #[derive(Debug, Default)]
 pub(crate) struct ScanBuffers {
-    /// Raw chunk bytes (grow-once, shared with the record-at-a-time
-    /// fallback which uses it as its chunk buffer).
+    /// Raw chunk bytes (grown once to the chunk size).
     pub chunk: Vec<u8>,
     /// Columns decoded from `chunk`.
     pub cols: ColumnBatch,
@@ -491,8 +537,8 @@ mod tests {
             .decode(&chunk, 0, 1, ExtractorDesc::U64Le(0), Some(101))
             .unwrap();
         // Records at ts 100 and 101 pass; ts 102 is the stopping record:
-        // counted in `records` (the callback path invokes the closure on
-        // it) but not retained as a row.
+        // counted in `records` (it was examined) but not retained as a
+        // row.
         assert!(out.stopped);
         assert_eq!(out.records, 3);
         assert_eq!(cols.len(), 1);

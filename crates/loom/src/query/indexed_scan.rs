@@ -3,20 +3,20 @@
 //! Retrieves records of a source within a time range *and* a value range,
 //! using the timestamp index to find the relevant chunk summaries and the
 //! summaries' histogram bins to skip chunks that cannot contain matching
-//! values. Chunks that match are scanned and records re-filtered exactly;
-//! the active (unsummarized) tail region is scanned raw.
+//! values. Chunks that match are decoded into columns and records
+//! re-filtered exactly; the active (unsummarized) tail region is decoded
+//! the same way, forward, until a record past the range.
 //!
 //! The module also implements the paper's index-ablation modes (§6.4):
 //! timestamp-index-only, chunk-index-only, and no-index execution.
 
 use super::columnar;
 use super::executor::{self, RecordBatch};
-use super::planner::{self, DecodeMode, SummaryPlan};
-use super::view::{QueryView, ScanControl};
+use super::planner::{self, SummaryPlan};
+use super::view::QueryView;
 use super::{IndexMeta, QueryOptions, Record, TimeRange, ValueRange};
 use crate::error::Result;
 use crate::obs::{QueryPhases, Stopwatch};
-use crate::record::ChunkRecord;
 use crate::stats::QueryStats;
 use crate::summary::ChunkSummary;
 use crate::ts_index::{TsIndexView, TsKind};
@@ -59,7 +59,7 @@ where
         (true, false) => {
             // A single forward region scan with early stop: sequential by
             // construction, so the pool is never used here.
-            scan_ts_only(view, meta, range, values, opts, &mut stats, phases, &mut f)?;
+            scan_ts_only(view, meta, range, values, &mut stats, phases, &mut f)?;
         }
         (false, false) => {
             scan_none(view, meta, range, values, opts, &mut stats, phases, &mut f)?;
@@ -82,46 +82,6 @@ fn bins_may_match(meta: &IndexMeta, summary: &ChunkSummary, values: &ValueRange)
     })
 }
 
-/// Whether a chunk record passes the source/time/value filters.
-fn record_matches(
-    meta: &IndexMeta,
-    range: TimeRange,
-    values: &ValueRange,
-    rec: &ChunkRecord<'_>,
-) -> bool {
-    if rec.header.source != meta.source.0 || !range.contains(rec.header.ts) {
-        return false;
-    }
-    let Some(v) = (meta.extractor)(rec.payload) else {
-        return false;
-    };
-    values.contains(v)
-}
-
-/// Emits a chunk record if it passes the source/time/value filters;
-/// returns whether it matched.
-fn filter_emit<F>(
-    meta: &IndexMeta,
-    range: TimeRange,
-    values: &ValueRange,
-    rec: &ChunkRecord<'_>,
-    f: &mut F,
-) -> bool
-where
-    F: FnMut(Record<'_>),
-{
-    if !record_matches(meta, range, values, rec) {
-        return false;
-    }
-    f(Record {
-        addr: rec.addr,
-        source: meta.source,
-        ts: rec.header.ts,
-        payload: rec.payload,
-    });
-    true
-}
-
 /// Delivers a worker-collected batch to the user callback, in log order.
 fn deliver_batch<F>(meta: &IndexMeta, batch: &RecordBatch, f: &mut F)
 where
@@ -137,9 +97,10 @@ where
     });
 }
 
-/// Default path: summaries select chunks; the tail region is scanned raw.
+/// Default path: summaries select chunks; the tail region is decoded
+/// forward to the first record past the range.
 ///
-/// The selected chunks are scanned serially (one worker) or fanned across
+/// The selected chunks are decoded serially (one worker) or fanned across
 /// the worker pool; either way records are delivered in log order. The
 /// unsummarized tail region always stays serial — it is at most one chunk
 /// ahead of the last seal and its early-stop scan is inherently ordered.
@@ -178,7 +139,7 @@ where
         .index
         .summary_probes(stats.summaries_scanned - probes_before);
     view.obs.index.chunk_hits(chunks.len() as u64);
-    let mode = planner::decode_mode(meta, opts);
+    let values = Some(&values);
     let workers = view.workers(opts.parallelism, chunks.len());
     stats.workers_used = stats.workers_used.max(workers as u64);
     let mut matched = 0u64;
@@ -186,36 +147,12 @@ where
     if workers <= 1 {
         let mut bufs = view.bufs.acquire();
         for chunk_addr in chunks {
-            let matched_before = matched;
-            match mode {
-                DecodeMode::Columnar(desc) => {
-                    let out = columnar::decode_chunk(
-                        view,
-                        chunk_addr,
-                        meta.source.0,
-                        desc,
-                        None,
-                        &mut bufs,
-                    )?;
-                    let selected = bufs.cols.select(range, &values);
-                    view.obs
-                        .query
-                        .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit(&bufs.chunk, meta.source, f);
-                    matched += selected;
-                    out.scan.fold_into(stats);
-                }
-                DecodeMode::RecordAtATime => {
-                    let out = view.scan_chunk_with_buf(chunk_addr, &mut bufs.chunk, |rec| {
-                        if filter_emit(meta, range, &values, rec, f) {
-                            matched += 1;
-                        }
-                        ScanControl::Continue
-                    })?;
-                    out.fold_into(stats);
-                }
-            }
-            if matched == matched_before {
+            let out =
+                columnar::decode_chunk(view, meta, chunk_addr, range, values, None, &mut bufs)?;
+            bufs.cols.emit(&bufs.chunk, meta.source, f);
+            out.scan.fold_into(stats);
+            matched += out.selected;
+            if out.selected == 0 {
                 view.obs.index.false_positive_chunk();
             }
         }
@@ -223,28 +160,10 @@ where
     } else {
         view.obs.query.pool_tasks(chunks.len() as u64);
         let batches = executor::map_chunks(view.bufs, workers, &chunks, |bufs, chunk_addr| {
+            let out = columnar::decode_chunk(view, meta, chunk_addr, range, values, None, bufs)?;
             let mut batch = view.bufs.acquire_batch();
-            match mode {
-                DecodeMode::Columnar(desc) => {
-                    let out =
-                        columnar::decode_chunk(view, chunk_addr, meta.source.0, desc, None, bufs)?;
-                    let selected = bufs.cols.select(range, &values);
-                    view.obs
-                        .query
-                        .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
-                    Ok((out.scan, batch))
-                }
-                DecodeMode::RecordAtATime => {
-                    let out = view.scan_chunk_with_buf(chunk_addr, &mut bufs.chunk, |rec| {
-                        if record_matches(meta, range, &values, rec) {
-                            batch.push(rec.addr, rec.header.ts, rec.payload);
-                        }
-                        ScanControl::Continue
-                    })?;
-                    Ok((out, batch))
-                }
-            }
+            bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
+            Ok((out.scan, batch))
         })?;
         for (out, batch) in batches {
             out.fold_into(stats);
@@ -260,16 +179,11 @@ where
 
     if plan.region_relevant {
         let tail_timer = Stopwatch::start();
-        let out = view.scan_region(plan.region_start, view.rec.watermark(), |rec| {
-            if rec.header.ts > range.end {
-                return ScanControl::Stop;
-            }
-            if filter_emit(meta, range, &values, rec, f) {
-                matched += 1;
-            }
-            ScanControl::Continue
+        let from = plan.region_start;
+        columnar::decode_forward(view, meta, from, range, values, stats, |bufs, selected| {
+            bufs.cols.emit(&bufs.chunk, meta.source, f);
+            matched += selected;
         })?;
-        out.fold_into(stats);
         phases.tail_scan_nanos += tail_timer.elapsed_nanos();
     }
     stats.records_matched += matched;
@@ -277,14 +191,12 @@ where
 }
 
 /// Timestamp-index-only ablation: seek to the range start by time, then
-/// scan forward without chunk skipping.
-#[allow(clippy::too_many_arguments)]
+/// decode forward without chunk skipping.
 fn scan_ts_only<F>(
     view: &QueryView<'_>,
     meta: &IndexMeta,
     range: TimeRange,
     values: ValueRange,
-    opts: QueryOptions,
     stats: &mut QueryStats,
     phases: &mut QueryPhases,
     f: &mut F,
@@ -298,56 +210,18 @@ where
     // Seek: the newest timestamp entry at or before the range start gives
     // a record-log position from which scanning forward covers the range.
     let pos = tsv.partition_by_ts(range.start.saturating_sub(1))?;
-    let start_addr = tsv
+    let from = tsv
         .find_backward(pos, |e| e.kind == TsKind::RecordMark)?
         .map(|(_, e)| e.target - e.target % view.chunk_size)
         .unwrap_or(0);
     phases.plan_nanos += plan_timer.elapsed_nanos();
     let mut matched = 0u64;
     let scan_timer = Stopwatch::start();
-    match planner::decode_mode(meta, opts) {
-        DecodeMode::Columnar(desc) => {
-            // Forward piece-by-piece decode with the same early stop the
-            // record path takes: a record past `range.end` ends the scan.
-            let mut bufs = view.bufs.acquire();
-            let wm = view.rec.watermark();
-            let mut pos = start_addr;
-            while pos < wm {
-                let out = columnar::decode_chunk(
-                    view,
-                    pos,
-                    meta.source.0,
-                    desc,
-                    Some(range.end),
-                    &mut bufs,
-                )?;
-                let selected = bufs.cols.select(range, &values);
-                view.obs
-                    .query
-                    .columnar_batch(bufs.cols.len() as u64, selected);
-                bufs.cols.emit(&bufs.chunk, meta.source, f);
-                matched += selected;
-                out.scan.fold_into(stats);
-                if out.scan.stopped {
-                    break;
-                }
-                pos += view.chunk_size;
-            }
-            view.bufs.release(bufs);
-        }
-        DecodeMode::RecordAtATime => {
-            let out = view.scan_region(start_addr, view.rec.watermark(), |rec| {
-                if rec.header.ts > range.end {
-                    return ScanControl::Stop;
-                }
-                if filter_emit(meta, range, &values, rec, f) {
-                    matched += 1;
-                }
-                ScanControl::Continue
-            })?;
-            out.fold_into(stats);
-        }
-    }
+    let values = Some(&values);
+    columnar::decode_forward(view, meta, from, range, values, stats, |bufs, selected| {
+        bufs.cols.emit(&bufs.chunk, meta.source, f);
+        matched += selected;
+    })?;
     phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
     stats.records_matched += matched;
     Ok(())
@@ -382,56 +256,24 @@ where
     }
     let newest_piece = (wm - 1) / view.chunk_size;
     let total_pieces = newest_piece as usize + 1;
-    let mode = planner::decode_mode(meta, opts);
     let workers = view.workers(opts.parallelism, total_pieces);
     stats.workers_used = stats.workers_used.max(workers as u64);
+    let values = Some(&values);
+    // Whether a piece (and so every earlier one) holds only older records.
+    let past_range = |piece_max_ts: u64| piece_max_ts != 0 && piece_max_ts < range.start;
     let mut matched = 0u64;
     let scan_timer = Stopwatch::start();
     if workers <= 1 {
         let mut bufs = view.bufs.acquire();
-        let mut piece = newest_piece;
-        loop {
+        for piece in (0..=newest_piece).rev() {
             let addr = piece * view.chunk_size;
-            let piece_max_ts;
-            match mode {
-                DecodeMode::Columnar(desc) => {
-                    let out =
-                        columnar::decode_chunk(view, addr, meta.source.0, desc, None, &mut bufs)?;
-                    let selected = bufs.cols.select(range, &values);
-                    view.obs
-                        .query
-                        .columnar_batch(bufs.cols.len() as u64, selected);
-                    bufs.cols.emit(&bufs.chunk, meta.source, f);
-                    matched += selected;
-                    out.scan.fold_into(stats);
-                    piece_max_ts = out.max_ts;
-                }
-                DecodeMode::RecordAtATime => {
-                    let mut max_ts = 0u64;
-                    let out = view.scan_region_with_buf(
-                        addr,
-                        (addr + view.chunk_size).min(wm),
-                        &mut bufs.chunk,
-                        |rec| {
-                            max_ts = max_ts.max(rec.header.ts);
-                            if filter_emit(meta, range, &values, rec, f) {
-                                matched += 1;
-                            }
-                            ScanControl::Continue
-                        },
-                    )?;
-                    out.fold_into(stats);
-                    piece_max_ts = max_ts;
-                }
-            }
-            // All earlier pieces hold only older records.
-            if piece_max_ts != 0 && piece_max_ts < range.start {
+            let out = columnar::decode_chunk(view, meta, addr, range, values, None, &mut bufs)?;
+            bufs.cols.emit(&bufs.chunk, meta.source, f);
+            out.scan.fold_into(stats);
+            matched += out.selected;
+            if past_range(out.max_ts) {
                 break;
             }
-            if piece == 0 {
-                break;
-            }
-            piece -= 1;
         }
         view.bufs.release(bufs);
     } else {
@@ -443,43 +285,17 @@ where
             view.obs.query.pool_tasks(pieces.len() as u64);
             let outputs = executor::map_chunks(view.bufs, workers, &pieces, |bufs, piece| {
                 let addr = piece * view.chunk_size;
+                let out = columnar::decode_chunk(view, meta, addr, range, values, None, bufs)?;
                 let mut batch = view.bufs.acquire_batch();
-                match mode {
-                    DecodeMode::Columnar(desc) => {
-                        let out =
-                            columnar::decode_chunk(view, addr, meta.source.0, desc, None, bufs)?;
-                        let selected = bufs.cols.select(range, &values);
-                        view.obs
-                            .query
-                            .columnar_batch(bufs.cols.len() as u64, selected);
-                        bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
-                        Ok((out.scan, batch, out.max_ts))
-                    }
-                    DecodeMode::RecordAtATime => {
-                        let mut piece_max_ts = 0u64;
-                        let out = view.scan_region_with_buf(
-                            addr,
-                            (addr + view.chunk_size).min(wm),
-                            &mut bufs.chunk,
-                            |rec| {
-                                piece_max_ts = piece_max_ts.max(rec.header.ts);
-                                if record_matches(meta, range, &values, rec) {
-                                    batch.push(rec.addr, rec.header.ts, rec.payload);
-                                }
-                                ScanControl::Continue
-                            },
-                        )?;
-                        Ok((out, batch, piece_max_ts))
-                    }
-                }
+                bufs.cols.emit_to_batch(&bufs.chunk, &mut batch);
+                Ok((out.scan, batch, out.max_ts))
             })?;
             for (out, batch, piece_max_ts) in outputs {
                 out.fold_into(stats);
                 matched += batch.len() as u64;
                 deliver_batch(meta, &batch, f);
-                let past_range = piece_max_ts != 0 && piece_max_ts < range.start;
                 view.bufs.release_batch(batch);
-                if past_range {
+                if past_range(piece_max_ts) {
                     break 'outer;
                 }
             }

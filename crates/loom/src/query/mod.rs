@@ -168,15 +168,6 @@ pub struct QueryOptions {
     pub use_ts_index: bool,
     /// Use chunk summaries to skip and pre-aggregate chunks.
     pub use_chunk_index: bool,
-    /// Decode sealed chunks through the columnar batch kernels
-    /// (`query::columnar`) when the index was defined through an
-    /// [`ExtractorDesc`](crate::extract::ExtractorDesc). Off forces the
-    /// record-at-a-time path everywhere; results are bit-identical
-    /// either way (this switch exists for benchmarking and equivalence
-    /// testing, like the index ablations). Closure-defined indexes and
-    /// the unsummarized tail of summary-planned queries always run
-    /// record-at-a-time regardless.
-    pub use_columnar: bool,
     /// Worker threads for chunk-parallel stages; `None` (the default)
     /// uses [`Config::query_threads`](crate::Config::query_threads).
     ///
@@ -191,7 +182,6 @@ impl Default for QueryOptions {
         QueryOptions {
             use_ts_index: true,
             use_chunk_index: true,
-            use_columnar: true,
             parallelism: None,
         }
     }
@@ -204,10 +194,10 @@ impl QueryOptions {
         self
     }
 
-    /// Enables or disables the columnar batch-decode path
-    /// ([`QueryOptions::use_columnar`]).
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.use_columnar = on;
+    // Vestige of the retired record-at-a-time switch; its only caller is
+    // the frozen `benchmark/src/layers.rs` `--trace 1` probe.
+    #[doc(hidden)]
+    pub fn with_columnar(self, _on: bool) -> Self {
         self
     }
 }
@@ -226,7 +216,8 @@ impl Loom {
     }
 
     /// Returns the histogram specification of an index (validating that
-    /// it covers `source`).
+    /// it covers `source` and, like the query terminals, that its
+    /// extractor survived the last reopen).
     pub fn index_spec(
         &self,
         source: SourceId,
@@ -236,7 +227,8 @@ impl Loom {
     }
 
     /// Applies an index's value-extraction function to raw payload bytes
-    /// (validating that the index covers `source`).
+    /// (validating that the index covers `source` and still has its
+    /// extractor).
     ///
     /// Useful for post-processing scan results with the exact semantics
     /// the index used (e.g., the distributed coordinator re-extracts
@@ -257,6 +249,11 @@ impl Loom {
     /// spec is `Arc`-shared rather than deep-cloned, and the source's
     /// shared handle is captured so the subsequent view capture does not
     /// re-lock the registry.
+    ///
+    /// Fails with [`LoomError::ExtractorLost`] on a closure-defined index
+    /// restored by a reopen: every exact re-filter (matching chunks,
+    /// partially covered chunks, the tail) needs the extractor, and a
+    /// query that silently skipped those would return wrong answers.
     fn index_meta(&self, source: SourceId, index: IndexId) -> Result<IndexMeta> {
         let registry = self.inner.registry.read();
         let entry = registry.index(index)?;
@@ -266,6 +263,9 @@ impl Loom {
                 expected_source: entry.source.0,
                 got_source: source.0,
             });
+        }
+        if entry.extractor_lost {
+            return Err(LoomError::ExtractorLost { index: index.0 });
         }
         let source_shared = Arc::clone(&registry.source(source)?.shared);
         Ok(IndexMeta {
@@ -287,7 +287,8 @@ pub(crate) struct IndexMeta {
     pub(crate) extractor: crate::registry::ValueFn,
     pub(crate) spec: Arc<crate::histogram::HistogramSpec>,
     /// The declarative extractor, when the index was defined through one
-    /// — the precondition for the columnar decode path (`desc.to_fn()`
-    /// and `extractor` are the same function by construction).
+    /// — chunk decode then runs a loop monomorphized for the field type
+    /// instead of calling `extractor` per row (`desc.to_fn()` and
+    /// `extractor` are the same function by construction).
     pub(crate) desc: Option<crate::extract::ExtractorDesc>,
 }

@@ -2,33 +2,11 @@
 //! the unsummarized tail region (§4.3).
 
 use super::view::QueryView;
-use super::{IndexMeta, QueryOptions, TimeRange};
+use super::TimeRange;
 use crate::chunk_index::SummaryCursor;
 use crate::error::Result;
-use crate::extract::ExtractorDesc;
 use crate::summary::ChunkSummary;
 use crate::ts_index::TsIndexView;
-
-/// How an operator decodes the chunks it scans.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DecodeMode {
-    /// Batch-decode whole chunk pieces into column vectors and run the
-    /// selection/aggregation kernels of `query::columnar`.
-    Columnar(ExtractorDesc),
-    /// Walk records one at a time through `ChunkIter` callbacks.
-    RecordAtATime,
-}
-
-/// Picks the decode path for a query: columnar needs a declarative
-/// extractor (so the batch kernels can reproduce it exactly) and the
-/// `use_columnar` option left on. Closure-defined indexes always fall
-/// back — an opaque `Arc<dyn Fn>` cannot be vectorized.
-pub(crate) fn decode_mode(meta: &IndexMeta, opts: QueryOptions) -> DecodeMode {
-    match meta.desc {
-        Some(desc) if opts.use_columnar => DecodeMode::Columnar(desc),
-        _ => DecodeMode::RecordAtATime,
-    }
-}
 
 /// The chunk-index positions a query must visit.
 pub(crate) struct SummaryPlan {

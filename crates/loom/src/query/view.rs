@@ -16,7 +16,7 @@ use crate::engine::Inner;
 use crate::error::Result;
 use crate::hybridlog::Snapshot;
 use crate::obs::Obs;
-use crate::record::{ChunkIter, ChunkRecord, RecordHeader, RECORD_HEADER_SIZE};
+use crate::record::{RecordHeader, RECORD_HEADER_SIZE};
 use crate::registry::{SourceId, SourceShared};
 use crate::retention::ColdSnap;
 use crate::stats::QueryStats;
@@ -199,72 +199,15 @@ impl<'a> QueryView<'a> {
         self.rec.read_at(pos, &mut buf[..len])
     }
 
-    /// Scans the record-log region `[from, to)` chunk piece by chunk
-    /// piece, invoking `f` for every record. `from` must be chunk-aligned;
-    /// `to` is clamped to the view's watermark.
-    ///
-    /// Returns the scan's I/O and record counters; `stopped` is set if the
-    /// callback requested an early stop.
-    pub fn scan_region<F>(&self, from: u64, to: u64, f: F) -> Result<RegionScan>
-    where
-        F: FnMut(&ChunkRecord<'_>) -> ScanControl,
-    {
-        let mut buf = Vec::new();
-        self.scan_region_with_buf(from, to, &mut buf, f)
-    }
-
-    /// [`Self::scan_region`] with a caller-owned chunk buffer.
-    ///
-    /// The buffer is grown (and zero-initialized) to the chunk size at
-    /// most once and then reused for every piece, so repeated scans —
-    /// the serial chunk loop as well as each pool worker — pay neither a
-    /// per-piece allocation nor the redundant `resize` memset that
-    /// `read_at` would immediately overwrite.
-    pub fn scan_region_with_buf<F>(
-        &self,
-        from: u64,
-        to: u64,
-        buf: &mut Vec<u8>,
-        mut f: F,
-    ) -> Result<RegionScan>
-    where
-        F: FnMut(&ChunkRecord<'_>) -> ScanControl,
-    {
-        debug_assert_eq!(from % self.chunk_size, 0, "region start must be aligned");
-        let to = to.min(self.rec.watermark());
-        let mut out = RegionScan::default();
-        let mut pos = from;
-        while pos < to {
-            let len = self.chunk_size.min(to - pos) as usize;
-            self.read_piece(pos, len, buf)?;
-            let piece = &buf[..len];
-            out.chunks += 1;
-            out.bytes += len as u64;
-            for rec in ChunkIter::new(piece, pos) {
-                let rec = rec?;
-                out.records += 1;
-                match f(&rec) {
-                    ScanControl::Continue => {}
-                    ScanControl::Stop => {
-                        out.stopped = true;
-                        return Ok(out);
-                    }
-                }
-            }
-            pos += len as u64;
-        }
-        Ok(out)
-    }
-
     /// Reads the raw bytes of the chunk piece at `chunk_addr` (clamped
     /// to the watermark) into `buf`, returning the piece length — `0`
     /// when the address is at or past the watermark.
     ///
-    /// This is the columnar decode path's read primitive: the length and
-    /// clamping match exactly what [`Self::scan_chunk_with_buf`] (one
-    /// piece of [`Self::scan_region_with_buf`]) would read, so callers
-    /// can account `chunks`/`bytes` identically. Like the region scan,
-    /// the buffer is grown (and zero-initialized) at most once.
+    /// This is chunk decode's read primitive. The buffer is grown (and
+    /// zero-initialized) to the chunk size at most once and then reused
+    /// for every piece, so repeated reads — the serial chunk loop as well
+    /// as each pool worker — pay neither a per-piece allocation nor a
+    /// redundant memset that the read would immediately overwrite.
     pub fn read_chunk_raw(&self, chunk_addr: u64, buf: &mut Vec<u8>) -> Result<usize> {
         debug_assert_eq!(
             chunk_addr % self.chunk_size,
@@ -279,20 +222,6 @@ impl<'a> QueryView<'a> {
         self.read_piece(chunk_addr, len, buf)?;
         Ok(len)
     }
-
-    /// Scans one chunk at `chunk_addr` (clamped to the watermark),
-    /// invoking `f` for every record, with a caller-owned reusable buffer.
-    pub fn scan_chunk_with_buf<F>(
-        &self,
-        chunk_addr: u64,
-        buf: &mut Vec<u8>,
-        f: F,
-    ) -> Result<RegionScan>
-    where
-        F: FnMut(&ChunkRecord<'_>) -> ScanControl,
-    {
-        self.scan_region_with_buf(chunk_addr, chunk_addr + self.chunk_size, buf, f)
-    }
 }
 
 /// One-chunk cache of decompressed cold bytes for record-at-a-time
@@ -306,22 +235,19 @@ pub(crate) struct ColdChunkCache {
     bytes: Vec<u8>,
 }
 
-/// Counters produced by a region scan.
+/// Counters produced by decoding chunk pieces.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct RegionScan {
-    /// Chunk pieces read.
+    /// Chunk pieces read and decoded.
     pub chunks: u64,
     /// Bytes read from the record log.
     pub bytes: u64,
-    /// Records decoded.
+    /// Records decoded (all sources).
     pub records: u64,
-    /// Whether the callback stopped the scan early.
+    /// Whether decode stopped early at a record past the time range.
     pub stopped: bool,
-    /// Chunk pieces decoded through the columnar batch path (zero on the
-    /// record-at-a-time path).
-    pub columnar_batches: u64,
     /// Rows of the queried source decoded into column batches.
-    pub columnar_rows: u64,
+    pub rows: u64,
 }
 
 impl RegionScan {
@@ -330,16 +256,7 @@ impl RegionScan {
         stats.chunks_scanned += self.chunks;
         stats.bytes_read += self.bytes;
         stats.records_scanned += self.records;
-        stats.columnar_batches += self.columnar_batches;
-        stats.columnar_rows += self.columnar_rows;
+        stats.columnar_batches += self.chunks;
+        stats.columnar_rows += self.rows;
     }
-}
-
-/// Flow control for region scans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScanControl {
-    /// Keep scanning.
-    Continue,
-    /// Stop the scan early (e.g., a record past the time range was seen).
-    Stop,
 }

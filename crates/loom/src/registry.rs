@@ -76,9 +76,14 @@ pub struct IndexEntry {
     pub closed: bool,
     /// Declarative description of the extractor, if the index was defined
     /// through one. Indexes with a descriptor survive a reopen intact;
-    /// closure-defined indexes are restored closed (their historical chunk
-    /// summaries remain queryable, but new chunks are not indexed).
+    /// closure-defined indexes are restored closed, with
+    /// `extractor_lost` set.
     pub desc: Option<ExtractorDesc>,
+    /// The index was defined through a closure and restored by a reopen:
+    /// `extractor` is a stub, so queries on the index are refused
+    /// ([`LoomError::ExtractorLost`]) rather than answered without the
+    /// exact re-filter.
+    pub extractor_lost: bool,
 }
 
 /// The mutable registry of sources and indexes.
@@ -168,6 +173,7 @@ impl Registry {
                 spec: Arc::new(spec),
                 closed: false,
                 desc,
+                extractor_lost: false,
             },
         );
         Ok(IndexId(id))
@@ -231,8 +237,8 @@ impl Registry {
     /// Re-inserts an index with its original ID during recovery.
     ///
     /// Indexes without a descriptor cannot rebuild their extractor closure
-    /// and are restored closed: summaries already in the chunk index keep
-    /// serving queries, but new chunks are not indexed.
+    /// and are restored closed and marked `extractor_lost`: new chunks
+    /// are not indexed, and queries on the index are refused.
     pub fn restore_index(
         &mut self,
         id: u32,
@@ -251,8 +257,9 @@ impl Registry {
         }
         let (extractor, closed) = match desc {
             Some(d) => (d.to_fn(), closed),
-            // No descriptor: the closure is unrecoverable. The stub is
-            // never invoked because the index is forced closed.
+            // No descriptor: the closure is unrecoverable. The write path
+            // never invokes the stub (the index is forced closed) and the
+            // query path refuses the index (`extractor_lost`).
             None => (Arc::new(|_: &[u8]| None) as ValueFn, true),
         };
         self.indexes.insert(
@@ -263,6 +270,7 @@ impl Registry {
                 spec: Arc::new(spec),
                 closed,
                 desc,
+                extractor_lost: desc.is_none(),
             },
         );
         self.next_index = self.next_index.max(id + 1);
@@ -374,8 +382,11 @@ mod tests {
         assert_eq!(r.source(SourceId(1)).unwrap().name, "early");
         assert!(r.source(SourceId(1)).unwrap().closed);
         assert!(!r.index(IndexId(2)).unwrap().closed);
-        // Closure-defined index (no descriptor) comes back closed.
+        // Closure-defined index (no descriptor) comes back closed, its
+        // extractor marked lost.
         assert!(r.index(IndexId(5)).unwrap().closed);
+        assert!(r.index(IndexId(5)).unwrap().extractor_lost);
+        assert!(!r.index(IndexId(2)).unwrap().extractor_lost);
         // New definitions continue after the highest restored IDs.
         assert_eq!(r.define_source("next"), SourceId(4));
         let spec = HistogramSpec::uniform(0.0, 1.0, 2).unwrap();

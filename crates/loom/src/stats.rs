@@ -84,15 +84,13 @@ pub struct QueryStats {
     pub records_matched: u64,
     /// Bytes read from the record log.
     pub bytes_read: u64,
-    /// Chunk pieces decoded through the columnar batch path
-    /// (descriptor-defined indexes over sealed chunks). Zero means the
-    /// whole query ran record-at-a-time — either the index uses a
-    /// closure extractor, [`QueryOptions::use_columnar`] was off, or
-    /// only the unsummarized tail was scanned.
-    ///
-    /// [`QueryOptions::use_columnar`]: crate::QueryOptions::use_columnar
+    /// Chunk pieces decoded into column batches. Every chunk piece an
+    /// indexed query reads — sealed or in the unsummarized tail — is
+    /// decoded this way, so this equals `chunks_scanned` there; raw
+    /// scans walk the record chain instead and report zero.
     pub columnar_batches: u64,
-    /// Rows (records of the queried source) decoded into column batches.
+    /// Rows (records of the queried source) decoded into column batches;
+    /// the rest of `records_scanned` were other sources' records.
     pub columnar_rows: u64,
     /// Largest worker-pool size any stage of the query executed with
     /// (`1` or `0` = fully serial execution). Per-worker chunk/byte

@@ -1,10 +1,12 @@
-//! Columnar-path equivalence tests: the batch decode + selection kernels
-//! must be indistinguishable from the record-at-a-time path — identical
-//! records in identical order, bit-identical aggregate floats, and
-//! identical `QueryStats` scan counters — across random chunk layouts,
-//! selectivities, index ablations, and worker-pool sizes. Plus: the
-//! typed out-of-bounds extractor rejection, the path-reporting stats,
-//! and a live-ingest sealed/tail boundary check.
+//! Chunk-decode equivalence tests: a descriptor-defined index (decode
+//! loop monomorphized per field type) and a closure-defined index over the
+//! same field (one `dyn Fn` call per row) must be indistinguishable —
+//! identical records in identical order, bit-identical aggregate floats,
+//! and identical `QueryStats`, columnar counters included — across random
+//! chunk layouts, selectivities, index ablations, and worker-pool sizes.
+//! Plus: the typed out-of-bounds extractor rejection, the decoded-piece
+//! stats, the tail's early-stop accounting, and a live-ingest sealed/tail
+//! boundary check.
 
 use proptest::prelude::*;
 
@@ -42,29 +44,18 @@ fn collect_scan(
     (got, stats)
 }
 
-/// `a` with the columnar path-reporting fields zeroed, so stats from the
-/// columnar and record-at-a-time paths can be compared field-for-field
-/// (those two counters are *defined* to differ between the paths).
-fn sans_columnar(a: QueryStats) -> QueryStats {
-    QueryStats {
-        columnar_batches: 0,
-        columnar_rows: 0,
-        ..a
-    }
-}
-
-/// One random workload checked for columnar/record-at-a-time equivalence
-/// across every index ablation and the requested pool size.
+/// One random workload checked for descriptor/closure equivalence across
+/// every index ablation and worker-pool sizes 1, 2 and 4.
 ///
 /// The workload interleaves a second "noise" source (whose records the
 /// decode must skip) and occasional short payloads (too short for the
-/// u64 extractor, exercising the validity column).
-fn check_columnar_equivalence(
+/// u64 extractor, exercising the validity column). Nothing is sealed by
+/// hand, so the newest records sit in the unsummarized tail.
+fn check_descriptor_closure_equivalence(
     values: Vec<u16>,
     gaps: Vec<u8>,
     win: (usize, usize),
     vwin: (u16, u16),
-    threads: usize,
 ) -> Result<(), TestCaseError> {
     let dir = std::env::temp_dir().join(format!(
         "loom-columnar-{}-{}",
@@ -77,9 +68,10 @@ fn check_columnar_equivalence(
     let s = loom.define_source("src");
     let noise = loom.define_source("noise");
     let spec = HistogramSpec::uniform(0.0, 65_536.0, 8).unwrap();
-    let idx = loom
-        .define_index_desc(s, ExtractorDesc::U64Le(0), spec)
+    let by_desc = loom
+        .define_index_desc(s, ExtractorDesc::U64Le(0), spec.clone())
         .unwrap();
+    let by_closure = loom.define_index(s, extract::u64_le_at(0), spec).unwrap();
 
     let mut pushed: Vec<(u64, u64)> = Vec::new();
     for (i, v) in values.iter().enumerate() {
@@ -87,7 +79,7 @@ fn check_columnar_equivalence(
         let ts = loom.clock().advance(1 + g as u64);
         if g % 7 == 0 {
             // Payload too short for the u64 field: scanned but never
-            // extracted, on either path.
+            // extracted, by either extractor.
             writer.push(s, &(*v as u32).to_le_bytes()).unwrap();
         } else {
             writer.push(s, &(*v as u64).to_le_bytes()).unwrap();
@@ -105,110 +97,86 @@ fn check_columnar_equivalence(
     let range = TimeRange::new(pushed[lo.min(hi)].0, pushed[lo.max(hi)].0);
     let vr = ValueRange::new(vwin.0.min(vwin.1) as f64, vwin.0.max(vwin.1) as f64);
 
-    let base = QueryOptions::default().with_parallelism(threads);
+    for threads in [1, 2, 4] {
+        let base = QueryOptions::default().with_parallelism(threads);
 
-    // Scans: every ablation mode, columnar on vs off.
-    for (use_ts, use_chunk) in [(true, true), (true, false), (false, true), (false, false)] {
-        let opts = QueryOptions {
-            use_ts_index: use_ts,
-            use_chunk_index: use_chunk,
-            ..base
+        // Scans: every ablation mode.
+        for (use_ts, use_chunk) in [(true, true), (true, false), (false, true), (false, false)] {
+            let opts = QueryOptions {
+                use_ts_index: use_ts,
+                use_chunk_index: use_chunk,
+                ..base
+            };
+            let (desc_recs, desc_stats) = collect_scan(&loom, s, by_desc, range, vr, opts);
+            let (closure_recs, closure_stats) = collect_scan(&loom, s, by_closure, range, vr, opts);
+            prop_assert_eq!(
+                &desc_recs,
+                &closure_recs,
+                "scan records diverge (ts={} chunk={} threads={})",
+                use_ts,
+                use_chunk,
+                threads
+            );
+            prop_assert_eq!(
+                desc_stats,
+                closure_stats,
+                "scan stats diverge (ts={} chunk={} threads={})",
+                use_ts,
+                use_chunk,
+                threads
+            );
+            prop_assert_eq!(
+                desc_stats.columnar_batches,
+                desc_stats.chunks_scanned,
+                "every scanned piece is a decoded batch"
+            );
+        }
+
+        // Aggregates: bit-identical floats (same accumulator, same order).
+        for method in [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Min,
+            Aggregate::Max,
+            Aggregate::Mean,
+            Aggregate::Percentile(0.0),
+            Aggregate::Percentile(50.0),
+            Aggregate::Percentile(99.0),
+            Aggregate::Percentile(100.0),
+        ] {
+            let run = |idx| {
+                loom.query(s)
+                    .index(idx)
+                    .range(range)
+                    .options(base)
+                    .aggregate(method)
+                    .unwrap()
+            };
+            let (desc, closure) = (run(by_desc), run(by_closure));
+            prop_assert_eq!(
+                desc.value.map(f64::to_bits),
+                closure.value.map(f64::to_bits),
+                "{:?} diverges at {} threads: {:?} vs {:?}",
+                method,
+                threads,
+                desc.value,
+                closure.value
+            );
+            prop_assert_eq!(desc.count, closure.count, "{:?} count diverges", method);
+            prop_assert_eq!(desc.stats, closure.stats, "{:?} stats diverge", method);
+        }
+
+        // Bin counts (the coordinator's composition primitive).
+        let run = |idx| {
+            loom.query(s)
+                .index(idx)
+                .range(range)
+                .options(base)
+                .bin_counts()
+                .unwrap()
         };
-        let (on_recs, on_stats) = collect_scan(&loom, s, idx, range, vr, opts);
-        let (off_recs, off_stats) =
-            collect_scan(&loom, s, idx, range, vr, opts.with_columnar(false));
-        prop_assert_eq!(
-            &on_recs,
-            &off_recs,
-            "scan records diverge (ts={} chunk={} threads={})",
-            use_ts,
-            use_chunk,
-            threads
-        );
-        prop_assert_eq!(
-            on_stats.records_scanned,
-            off_stats.records_scanned,
-            "records_scanned diverges (ts={} chunk={} threads={})",
-            use_ts,
-            use_chunk,
-            threads
-        );
-        prop_assert_eq!(
-            sans_columnar(on_stats),
-            sans_columnar(off_stats),
-            "scan stats diverge (ts={} chunk={} threads={})",
-            use_ts,
-            use_chunk,
-            threads
-        );
-        prop_assert_eq!(
-            off_stats.columnar_batches,
-            0,
-            "disabled columnar path must report zero batches"
-        );
+        prop_assert_eq!(run(by_desc), run(by_closure), "bin counts diverge");
     }
-
-    // Aggregates: bit-identical floats (same accumulator, same order).
-    for method in [
-        Aggregate::Count,
-        Aggregate::Sum,
-        Aggregate::Min,
-        Aggregate::Max,
-        Aggregate::Mean,
-        Aggregate::Percentile(0.0),
-        Aggregate::Percentile(50.0),
-        Aggregate::Percentile(99.0),
-        Aggregate::Percentile(100.0),
-    ] {
-        let on = loom
-            .query(s)
-            .index(idx)
-            .range(range)
-            .options(base)
-            .aggregate(method)
-            .unwrap();
-        let off = loom
-            .query(s)
-            .index(idx)
-            .range(range)
-            .options(base.with_columnar(false))
-            .aggregate(method)
-            .unwrap();
-        prop_assert_eq!(
-            on.value.map(f64::to_bits),
-            off.value.map(f64::to_bits),
-            "{:?} diverges at {} threads: {:?} vs {:?}",
-            method,
-            threads,
-            on.value,
-            off.value
-        );
-        prop_assert_eq!(on.count, off.count, "{:?} count diverges", method);
-        prop_assert_eq!(
-            sans_columnar(on.stats),
-            sans_columnar(off.stats),
-            "{:?} stats diverge",
-            method
-        );
-    }
-
-    // Bin counts (the coordinator's composition primitive).
-    let (on_counts, on_bstats) = loom
-        .query(s)
-        .index(idx)
-        .range(range)
-        .options(base)
-        .bin_counts()
-        .unwrap();
-    let (off_counts, off_bstats) = loom
-        .query(s)
-        .index(idx)
-        .range(range)
-        .options(base.with_columnar(false))
-        .bin_counts()
-        .unwrap();
-    prop_assert_eq!(on_counts, off_counts, "bin counts diverge");
-    prop_assert_eq!(sans_columnar(on_bstats), sans_columnar(off_bstats));
 
     drop(writer);
     let _ = std::fs::remove_dir_all(&dir);
@@ -219,14 +187,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn columnar_is_equivalent_to_record_at_a_time(
+    fn descriptor_and_closure_indexes_are_equivalent(
         values in proptest::collection::vec(any::<u16>(), 1..600),
         gaps in proptest::collection::vec(1u8..20, 1..8),
         win in (0usize..600, 0usize..600),
         vwin in (any::<u16>(), any::<u16>()),
-        threads in 1usize..4,
     ) {
-        check_columnar_equivalence(values, gaps, win, vwin, threads)?;
+        check_descriptor_closure_equivalence(values, gaps, win, vwin)?;
     }
 }
 
@@ -238,7 +205,7 @@ fn fill(loom: &Loom, writer: &mut loom::LoomWriter, s: SourceId, n: u64) {
 }
 
 #[test]
-fn stats_report_which_decode_path_ran() {
+fn stats_count_every_decoded_piece() {
     let dir = std::env::temp_dir().join(format!(
         "loom-columnar-path-{}-{}",
         std::process::id(),
@@ -256,51 +223,93 @@ fn stats_report_which_decode_path_ran() {
     writer.seal_active_chunk().unwrap();
     let range = TimeRange::new(0, u64::MAX);
 
-    // Descriptor-defined index over sealed chunks: columnar runs.
-    let stats = loom
-        .query(s)
-        .index(desc_idx)
-        .range(range)
-        .scan(|_| {})
-        .unwrap();
-    assert!(
-        stats.columnar_batches > 0,
-        "sealed chunks with a descriptor index must decode columnar: {stats:?}"
-    );
-    assert!(stats.columnar_rows > 0);
-    assert!(stats.columnar_rows <= stats.records_scanned);
-
-    // Opting out per query falls back to record-at-a-time.
-    let off = loom
-        .query(s)
-        .index(desc_idx)
-        .range(range)
-        .options(QueryOptions::default().with_columnar(false))
-        .scan(|_| {})
-        .unwrap();
-    assert_eq!(off.columnar_batches, 0);
-    assert_eq!(off.columnar_rows, 0);
-    assert_eq!(off.records_matched, stats.records_matched);
-
-    // A closure index cannot be vectorized: always record-at-a-time.
-    let closure = loom
-        .query(s)
-        .index(closure_idx)
-        .range(range)
-        .scan(|_| {})
-        .unwrap();
-    assert_eq!(closure.columnar_batches, 0);
-    assert_eq!(closure.records_matched, stats.records_matched);
+    // Every chunk piece a query reads is one decoded batch, whichever way
+    // the index extracts its values.
+    for idx in [desc_idx, closure_idx] {
+        let stats = loom.query(s).index(idx).range(range).scan(|_| {}).unwrap();
+        assert!(stats.chunks_scanned > 0);
+        assert_eq!(stats.columnar_batches, stats.chunks_scanned, "{stats:?}");
+        assert_eq!(stats.columnar_rows, 2_000);
+        assert_eq!(stats.records_matched, 2_000);
+        assert!(stats.columnar_rows <= stats.records_scanned);
+    }
 
     // The engine-wide metrics registry saw the batches too.
     let snap = loom.metrics_snapshot();
     if cfg!(feature = "self-obs") {
-        assert!(snap.query.columnar_batches >= stats.columnar_batches);
-        assert!(snap.query.columnar_rows >= stats.columnar_rows);
+        assert!(snap.query.columnar_batches > 0);
+        assert_eq!(snap.query.columnar_rows, 4_000);
         assert_eq!(snap.query.batch_rows.total(), snap.query.columnar_batches);
         let text = snap.to_text();
         assert!(text.contains("loom_query_columnar_batches_total"));
         assert!(text.contains("loom_query_batch_selectivity_pct_count"));
+    }
+
+    drop(writer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A range that ends inside the unsummarized tail: the tail decodes
+/// through the same columns as sealed chunks, and the record that ends
+/// the forward scan (the first one past `range.end`) is counted as
+/// scanned but never becomes a row.
+#[test]
+fn tail_scan_counts_the_stopping_record() {
+    let dir = std::env::temp_dir().join(format!(
+        "loom-columnar-tail-{}-{}",
+        std::process::id(),
+        rand_suffix()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (loom, mut writer) = Loom::open_with_clock(Config::small(&dir), Clock::manual(0)).unwrap();
+    let s = loom.define_source("s");
+    let spec = HistogramSpec::uniform(0.0, 100.0, 4).unwrap();
+    let desc_idx = loom
+        .define_index_desc(s, ExtractorDesc::U64Le(0), spec.clone())
+        .unwrap();
+    let closure_idx = loom.define_index(s, extract::u64_le_at(0), spec).unwrap();
+    fill(&loom, &mut writer, s, 1_000);
+    writer.seal_active_chunk().unwrap();
+    // Ten unsealed records: the whole tail region.
+    let tail_start = loom.now() + 10;
+    fill(&loom, &mut writer, s, 10);
+    let tail_end = loom.now();
+
+    for idx in [desc_idx, closure_idx] {
+        // Ends at the tail's 4th record: 4 rows, and the 5th record stops
+        // the scan.
+        let inside = TimeRange::new(tail_start, tail_start + 30);
+        let mut seen = 0u64;
+        let scan = loom
+            .query(s)
+            .index(idx)
+            .range(inside)
+            .scan(|_| seen += 1)
+            .unwrap();
+        assert_eq!(seen, 4);
+        let agg = loom
+            .query(s)
+            .index(idx)
+            .range(inside)
+            .aggregate(Aggregate::Count)
+            .unwrap();
+        assert_eq!(agg.count, 4);
+        let (counts, bins) = loom.query(s).index(idx).range(inside).bin_counts().unwrap();
+        assert_eq!(counts.iter().sum::<u64>(), 4);
+        assert_eq!(scan.records_matched, 4);
+        for stats in [scan, agg.stats, bins] {
+            assert_eq!(stats.chunks_scanned, 1, "{stats:?}");
+            assert_eq!(stats.records_scanned, 5, "{stats:?}");
+            assert_eq!(stats.columnar_batches, 1, "{stats:?}");
+            assert_eq!(stats.columnar_rows, 4, "{stats:?}");
+        }
+
+        // Ends at the tail's last record: nothing stops the scan early.
+        let whole = TimeRange::new(tail_start, tail_end);
+        let scan = loom.query(s).index(idx).range(whole).scan(|_| {}).unwrap();
+        assert_eq!(scan.records_matched, 10);
+        assert_eq!(scan.records_scanned, 10);
+        assert_eq!(scan.columnar_rows, 10);
     }
 
     drop(writer);
@@ -355,9 +364,10 @@ fn define_index_desc_rejects_unreachable_fields() {
 }
 
 /// Live ingest: scans racing a writer must see no duplicate and no
-/// out-of-order records at the sealed/tail boundary (the columnar path
-/// covers sealed chunks while the tail stays record-at-a-time), and a
-/// final scan after the writer stops must see exactly everything.
+/// out-of-order records at the sealed/tail boundary (sealed chunks are
+/// picked by their summaries, the tail by a forward decode from where
+/// the summaries end), and a final scan after the writer stops must see
+/// exactly everything.
 #[test]
 fn live_ingest_scans_lose_nothing_at_the_sealed_tail_boundary() {
     let dir = std::env::temp_dir().join(format!(
@@ -426,10 +436,7 @@ fn live_ingest_scans_lose_nothing_at_the_sealed_tail_boundary() {
         })
         .unwrap();
     assert_eq!(count, TOTAL);
-    assert!(
-        stats.columnar_batches > 0,
-        "sealed chunks should have gone columnar: {stats:?}"
-    );
+    assert_eq!(stats.columnar_batches, stats.chunks_scanned, "{stats:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

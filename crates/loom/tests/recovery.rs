@@ -3,7 +3,8 @@
 //! survival across restarts.
 
 use loom::{
-    Aggregate, Clock, Config, ExtractorDesc, HistogramSpec, LogId, Loom, SourceId, TimeRange,
+    Aggregate, Clock, Config, ExtractorDesc, HistogramSpec, LogId, Loom, LoomError, SourceId,
+    TimeRange, ValueRange,
 };
 
 struct Env {
@@ -346,20 +347,74 @@ fn schema_survives_restart_and_closure_indexes_reopen_closed() {
     let err = writer2.push(b, &7u64.to_le_bytes());
     assert!(err.is_err(), "closed source must stay closed: {err:?}");
 
-    // Data indexed before the restart stays queryable through both
-    // indexes; new data flows only into the restored descriptor index
-    // (the closure index is closed, so it stops at the restart point).
+    // The restored descriptor index covers the data from before the
+    // restart and keeps indexing new data; the closure index is refused
+    // (its extractor did not survive).
     push_n(&loom2, &mut writer2, a, 600, |i| i + 600);
     writer2.seal_active_chunk().unwrap();
-    for (idx, expected) in [(desc_idx, 1_200.0), (closure_idx, 600.0)] {
-        let r = loom2
+    let count = |idx| {
+        loom2
             .query(a)
             .index(idx)
             .range(TimeRange::new(0, loom2.now()))
             .aggregate(Aggregate::Count)
-            .unwrap();
-        assert_eq!(r.value, Some(expected), "index {idx:?}");
-    }
+    };
+    assert_eq!(count(desc_idx).unwrap().value, Some(1_200.0));
+    assert!(matches!(
+        count(closure_idx),
+        Err(LoomError::ExtractorLost { index }) if index == closure_idx.0
+    ));
+}
+
+/// A closure-defined index comes back from a reopen without its
+/// extractor. Every indexed terminal must say so with a typed error —
+/// answering from the summaries alone would silently drop every chunk
+/// and tail record that needs the exact re-filter — while a descriptor
+/// index over the same source answers exactly as before the shutdown.
+#[test]
+fn closure_index_queries_fail_typed_after_reopen() {
+    let env = Env::new("closure-lost");
+    let (loom, mut writer) = env.open(1_000);
+    let a = loom.define_source("alpha");
+    let desc_idx = loom
+        .define_index_desc(a, ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    let closure_idx = loom
+        .define_index(a, loom::extract::u64_le_at(0), spec())
+        .unwrap();
+    push_n(&loom, &mut writer, a, 600, |i| i * 100);
+    let range = TimeRange::new(3_000, 5_000);
+    let values = ValueRange::new(20_000.0, 40_000.0);
+    let answers = |loom: &Loom, idx| {
+        let query = || loom.query(a).index(idx).range(range);
+        let mut recs = Vec::new();
+        query()
+            .value_range(values)
+            .scan(|r| recs.push((r.addr, r.ts, r.payload.to_vec())))?;
+        let sum = query().aggregate(Aggregate::Sum)?;
+        let p99 = query().aggregate(Aggregate::Percentile(99.0))?;
+        let (bins, _) = query().bin_counts()?;
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        Ok::<_, LoomError>((recs, bits(sum.value), bits(p99.value), bins))
+    };
+    let before = answers(&loom, desc_idx).unwrap();
+    assert!(!before.0.is_empty());
+    assert_eq!(before, answers(&loom, closure_idx).unwrap());
+    writer.close().unwrap();
+    drop(loom);
+
+    let (loom2, _writer2) = env.open(0);
+    assert_eq!(before, answers(&loom2, desc_idx).unwrap());
+    let lost = |r: Result<_, LoomError>| matches!(r, Err(LoomError::ExtractorLost { index }) if index == closure_idx.0);
+    let query = || loom2.query(a).index(closure_idx).range(range);
+    assert!(lost(query().scan(|_| {}).map(|_| ())));
+    assert!(lost(query().aggregate(Aggregate::Sum).map(|_| ())));
+    assert!(lost(query().bin_counts().map(|_| ())));
+    let msg = query().scan(|_| {}).unwrap_err().to_string();
+    assert!(
+        msg.contains(&closure_idx.0.to_string()) && msg.contains("define_index_desc"),
+        "{msg}"
+    );
 }
 
 #[test]
