@@ -155,6 +155,11 @@ const REMOVED_CALLS: &[&str] = &[
 /// identifiers (field, function or type, in any position).
 const REMOVED_IDENTS: &[&str] = &["use_columnar", "decode_mode", "DecodeMode"];
 
+/// Files that read sealed chunk summaries only through the in-memory
+/// summary mirror: the query layer and the compactor. `SummaryCursor`
+/// stays the loader (open, recovery) and the mirror's test reference.
+const MIRROR_ONLY: &[&str] = &["crates/loom/src/query/", "crates/loom/src/engine.rs"];
+
 /// Rule 4: no calls of the removed pre-builder query API, anywhere, and
 /// no identifier of the retired chunk-decode fork.
 ///
@@ -166,12 +171,26 @@ const REMOVED_IDENTS: &[&str] = &["use_columnar", "decode_mode", "DecodeMode"];
 ///
 /// The decode fork (a per-query switch between columnar and
 /// record-at-a-time chunk decode) was collapsed at parity; its names may
-/// not come back as a field, function or type.
+/// not come back as a field, function or type. Nor may the per-query
+/// chunk-index walk (`SummaryCursor`) come back to the query layer or
+/// the compactor, which read the summary mirror.
 pub fn check_deprecated_api(file: &SourceFile) -> Vec<Violation> {
     let toks = file.code_toks();
     let mut out = Vec::new();
+    let mirror_only = MIRROR_ONLY.iter().any(|p| file.path.starts_with(p));
     for (i, t) in toks.iter().enumerate() {
         if crate::TokKind::Ident != t.kind {
+            continue;
+        }
+        if mirror_only && t.text == "SummaryCursor" && !file.line_is_test(t.line) {
+            out.push(Violation {
+                file: file.path.clone(),
+                line: t.line,
+                rule: Rule::DeprecatedQueryApi,
+                message: "queries and the compactor read sealed summaries from the shard's \
+                          `SummaryMirror`, not by re-walking the chunk index"
+                    .into(),
+            });
             continue;
         }
         if REMOVED_IDENTS.contains(&t.text.as_str()) {
@@ -547,6 +566,28 @@ mod tests {
             "// was: use_columnar\nlet o = defaults.with_columnar(false); let s = \"decode_mode\";\n",
         );
         assert!(check_deprecated_api(&ok).is_empty());
+    }
+
+    #[test]
+    fn summary_cursor_flagged_only_where_the_mirror_serves() {
+        let walk = "let mut cursor = SummaryCursor::new(&view.chunk, start);\n";
+        for path in [
+            "crates/loom/src/query/planner.rs",
+            "crates/loom/src/query/aggregate.rs",
+            "crates/loom/src/engine.rs",
+        ] {
+            let v = check_deprecated_api(&f(path, walk));
+            assert_eq!(rules(&v), vec![Rule::DeprecatedQueryApi], "{path}");
+            assert!(v[0].message.contains("SummaryMirror"), "{}", v[0].message);
+        }
+        // The loader and the reference walk keep it.
+        for path in [
+            "crates/loom/src/chunk_index.rs",
+            "crates/loom/src/durability/recovery.rs",
+            "crates/loom/tests/summary_mirror.rs",
+        ] {
+            assert!(check_deprecated_api(&f(path, walk)).is_empty(), "{path}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub use format::{
 };
 pub use manifest::{AgedChunk, Manifest, ManifestRecord};
 pub use recovery::{
-    recover_dirty, recover_dirty_with_cold, RecoveredState, RecoveryReport, SourceState,
-    TailTruncation,
+    load_summaries, recover_dirty, recover_dirty_with_cold, RecoveredState, RecoveryReport,
+    SourceState, TailTruncation,
 };
 pub use shutdown::{CleanShutdown, SourceTail};

@@ -30,9 +30,10 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::chunk_index::{MirrorSnapshot, SummaryCursor, SummaryMirror};
 use crate::config::Config;
 use crate::durability::format::{read_frame, LogId};
-use crate::error::Result;
+use crate::error::{LoomError, Result};
 use crate::record::{RecordHeader, NIL_ADDR, RECORD_HEADER_SIZE};
 use crate::retention::ColdSnap;
 use crate::summary::ChunkSummary;
@@ -62,7 +63,8 @@ impl TailTruncation {
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// `true` when the directory was reopened via the clean-shutdown fast
-    /// path (no scans); `false` after a dirty scan.
+    /// path (no record or timestamp scan; one verified read of the chunk
+    /// index); `false` after a dirty scan.
     pub clean: bool,
     /// Records whose checksums were verified during the scan.
     pub records_scanned: u64,
@@ -126,6 +128,10 @@ pub struct RecoveredState {
     pub last_ts: u64,
     /// Per-source writer state.
     pub sources: HashMap<u32, SourceState>,
+    /// The surviving chunk-index summaries, decoded into a summary
+    /// mirror as the scan verified them (minus those of slices retention
+    /// pruned).
+    pub summaries: MirrorSnapshot,
     /// Chunk addresses that are complete in the record log but have no
     /// surviving summary; the engine rescans and resummarizes them.
     pub resummarize: Vec<u64>,
@@ -161,12 +167,46 @@ pub fn recover_dirty_with_cold(
     };
 
     scan_record_log(dir, config, cold, &mut state)?;
-    let kept_summaries = scan_chunk_log(dir, &mut state)?;
+    let kept_summaries = scan_chunk_log(dir, cold, &mut state)?;
     let sealed = scan_ts_log(dir, &mut state, &kept_summaries)?;
     reconcile(config, &mut state, &kept_summaries, &sealed);
 
     state.report.duration_nanos = started.elapsed().as_nanos() as u64;
     Ok(state)
+}
+
+/// A clean reopen's summary load: one sequential read of the chunk
+/// index up to its clean-shutdown tail, every frame checksum-verified and
+/// decoded into a summary mirror — except the frames of slices retention
+/// pruned, which nothing reads again (the planner skips them by the slice
+/// super-summary).
+///
+/// A clean shutdown vouches for the tails, not for the bytes since: a
+/// corrupt or torn frame is an error here, and the caller falls back to
+/// [`recover_dirty_with_cold`], which truncates at the bad frame and
+/// rebuilds the lost summaries from the chunks' records.
+pub fn load_summaries(dir: &Path, chunk_tail: u64, cold: &ColdSnap) -> Result<MirrorSnapshot> {
+    let mut bytes = std::fs::read(dir.join(LogId::Chunks.file_name()))?;
+    bytes.truncate(chunk_tail as usize);
+    let mirror = SummaryMirror::default();
+    let mut cursor = SummaryCursor::new(&bytes, 0);
+    loop {
+        let addr = cursor.pos();
+        if let Some(slice) = cold.slice_covering(addr).filter(|s| s.pruned) {
+            cursor = SummaryCursor::new(&bytes, slice.summary_end);
+            continue;
+        }
+        let Some(summary) = cursor.next()? else { break };
+        mirror.append(addr, (cursor.pos() - addr) as usize, &summary);
+    }
+    if cursor.pos() != chunk_tail {
+        return Err(LoomError::CorruptLog {
+            log: LogId::Chunks,
+            addr: cursor.pos(),
+            reason: format!("torn summary frame before the clean-shutdown tail {chunk_tail}"),
+        });
+    }
+    Ok(mirror.capture())
 }
 
 /// Verifies the record log entry by entry, chunk by chunk, fixing the
@@ -285,11 +325,17 @@ fn scan_record_log(
 
 /// Replays chunk-index frames, truncating at the first invalid one, and
 /// returns the surviving summaries as `(summary_addr, chunk_addr,
-/// chunk_end, ts_max)` in log order.
-fn scan_chunk_log(dir: &Path, state: &mut RecoveredState) -> Result<Vec<(u64, u64, u64, u64)>> {
+/// chunk_end, ts_max)` in log order; the summaries themselves, minus
+/// those of pruned slices, land in `state.summaries`.
+fn scan_chunk_log(
+    dir: &Path,
+    cold: &ColdSnap,
+    state: &mut RecoveredState,
+) -> Result<Vec<(u64, u64, u64, u64)>> {
     let bytes = std::fs::read(dir.join(LogId::Chunks.file_name()))?;
     let file_len = bytes.len() as u64;
     let mut kept = Vec::new();
+    let mirror = SummaryMirror::default();
     let mut pos = 0usize;
     let mut prev_chunk_end = 0u64;
     let mut truncation: Option<String> = None;
@@ -326,11 +372,15 @@ fn scan_chunk_log(dir: &Path, state: &mut RecoveredState) -> Result<Vec<(u64, u6
                 }
                 prev_chunk_end = chunk_end;
                 kept.push((pos as u64, summary.chunk_addr, chunk_end, summary.ts_max));
+                if !cold.slice_covering(pos as u64).is_some_and(|s| s.pruned) {
+                    mirror.append(pos as u64, next - pos, &summary);
+                }
                 pos = next;
             }
         }
     }
 
+    state.summaries = mirror.capture();
     state.chunk_tail = pos as u64;
     if state.chunk_tail < file_len {
         state.report.truncations.push(TailTruncation {

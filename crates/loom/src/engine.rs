@@ -5,8 +5,9 @@
 //!
 //! 1. timestamp the record and append it to the record log;
 //! 2. if the record starts a new chunk, finalize the previous chunk's
-//!    summary, append it to the chunk index, and append a chunk-seal entry
-//!    to the timestamp index;
+//!    summary, append it to the chunk index and the shard's in-memory
+//!    summary mirror, and append a chunk-seal entry to the timestamp
+//!    index;
 //! 3. update the active chunk's summary and, periodically, append a
 //!    record mark to the timestamp index;
 //! 4. publish the record log, chunk index, and timestamp index watermarks
@@ -37,7 +38,7 @@ use std::sync::Arc;
 
 use crate::sync::{Mutex, RwLock};
 
-use crate::chunk_index::SummaryCursor;
+use crate::chunk_index::{SummaryMirror, SummaryRef};
 use crate::clock::Clock;
 use crate::config::{Config, OverloadPolicy};
 use crate::durability::manifest::AgedChunk;
@@ -150,6 +151,9 @@ pub(crate) struct Inner {
     pub(crate) record_log: Arc<LogShared>,
     pub(crate) chunk_log: Arc<LogShared>,
     pub(crate) ts_log: Arc<LogShared>,
+    /// Every sealed summary of the chunk index, decoded once: the
+    /// planner and the compactor read these instead of `chunk_log`.
+    pub(crate) summaries: SummaryMirror,
     /// Engine-wide ingest counters (`Arc`-shared with [`EngineInner`]).
     pub(crate) stats: Arc<IngestStats>,
     /// Per-shard metrics registry; the slow-query ring inside is
@@ -236,30 +240,32 @@ impl Inner {
         // punched hot copy must never be the only copy, and recovery
         // relies on cold chunks always having durable summaries.
         let record_flushed = self.record_log.flushed_upto();
-        let chunk_flushed = self.chunk_log.flushed_upto();
-        let mut batch: Vec<(u64, u64, u32, ChunkSummary)> = Vec::new();
-        {
-            let chunk_log = &*self.chunk_log;
-            let mut cursor = SummaryCursor::new(chunk_log, snap.aged_upto_summary());
-            loop {
-                let summary_addr = cursor.pos();
-                let Some(s) = cursor.next()? else { break };
-                let summary_end = cursor.pos();
-                let chunk_end = s.chunk_addr + u64::from(s.chunk_len);
-                let old_enough = now.saturating_sub(s.ts_max) >= retention.cold_after;
-                let durable = chunk_end <= record_flushed && summary_end <= chunk_flushed;
-                if !old_enough || !durable {
-                    break;
-                }
-                batch.push((0, summary_addr, (summary_end - summary_addr) as u32, s));
+        // Also bounded by the published watermark: the mirror holds a
+        // summary before its seal publishes.
+        let chunk_flushed = self
+            .chunk_log
+            .flushed_upto()
+            .min(self.chunk_log.watermark());
+        let mirror = self.summaries.capture();
+        let mut batch: Vec<(u64, SummaryRef<'_>)> = Vec::new();
+        let mut next = snap.aged_upto_summary();
+        for s in mirror.iter_from(next) {
+            let old_enough = now.saturating_sub(s.ts_max()) >= retention.cold_after;
+            let durable = s.chunk_end() <= record_flushed && s.end() <= chunk_flushed;
+            // `s.addr() != next` would be a hole in the mirror: stop
+            // there, as a cursor walk of the log would have.
+            if s.addr() != next || !old_enough || !durable {
+                break;
             }
+            next = s.end();
+            batch.push((0, s));
         }
         // Slice assignment is monotone non-decreasing along the walk, so
         // a chunk with an out-of-order (or empty ⇒ zero) `ts_max` lands
         // in the newest slice so far instead of reopening an older one.
         let mut cur_slice = snap.slices().last().map(|s| s.slice).unwrap_or(0);
         for item in &mut batch {
-            cur_slice = cur_slice.max(retention::slice_of(item.3.ts_max, width));
+            cur_slice = cur_slice.max(retention::slice_of(item.1.ts_max(), width));
             item.0 = cur_slice;
         }
 
@@ -275,21 +281,21 @@ impl Inner {
             let segment = snap.next_segment(slice);
             let mut writer = SegmentWriter::create(&self.config.dir, slice, segment)?;
             let mut entries = Vec::with_capacity(j - i);
-            for (_, summary_addr, summary_len, s) in &batch[i..j] {
-                self.record_log.read_at(s.chunk_addr, &mut buf)?;
-                let meta = writer.append_chunk(s.chunk_addr, &buf)?;
-                let records: u64 = s.sources.values().sum();
+            for (_, s) in &batch[i..j] {
+                self.record_log.read_at(s.chunk_addr(), &mut buf)?;
+                let meta = writer.append_chunk(s.chunk_addr(), &buf)?;
+                let records = s.record_count();
                 entries.push(AgedChunk {
-                    chunk_addr: s.chunk_addr,
+                    chunk_addr: s.chunk_addr(),
                     offset: meta.offset,
                     raw_len: meta.raw_len,
                     comp_len: meta.comp_len,
-                    summary_addr: *summary_addr,
-                    summary_len: *summary_len,
+                    summary_addr: s.addr(),
+                    summary_len: (s.end() - s.addr()) as u32,
                     // An all-pad chunk has no records; store a zeroed
                     // range instead of the summary's MAX/0 sentinels.
-                    ts_min: if records == 0 { 0 } else { s.ts_min },
-                    ts_max: if records == 0 { 0 } else { s.ts_max },
+                    ts_min: if records == 0 { 0 } else { s.ts_min() },
+                    ts_max: if records == 0 { 0 } else { s.ts_max() },
                     records,
                 });
             }
@@ -315,7 +321,7 @@ impl Inner {
         let Some(drop_after) = retention.drop_after else {
             return Ok(());
         };
-        let candidates: Vec<(u64, u64)> = snap
+        let candidates: Vec<retention::SliceStats> = snap
             .slices()
             .iter()
             .filter(|s| !s.pruned && s.slice < cur_slice)
@@ -323,9 +329,10 @@ impl Inner {
                 let end = (s.slice + 1).saturating_mul(width);
                 now.saturating_sub(end) >= drop_after
             })
-            .map(|s| (s.slice, s.chunk_end_max))
+            .copied()
             .collect();
-        for (slice, chunk_end_max) in candidates {
+        for stats in candidates {
+            let (slice, chunk_end_max) = (stats.slice, stats.chunk_end_max);
             // Journal first, install, then unlink: a crash between the
             // commit and the unlink leaves a directory reopen sweeps.
             self.manifest.lock().append(ManifestRecord::SlicePruned {
@@ -334,6 +341,13 @@ impl Inner {
             })?;
             snap = Arc::new(snap.with_pruned(slice, chunk_end_max));
             *self.cold.write() = Arc::clone(&snap);
+            // Only after the install: a query whose mirror capture lacks
+            // these summaries captures the cold snapshot later, sees the
+            // slice pruned, and skips its summary range.
+            let bytes = self
+                .summaries
+                .drop_range(stats.summary_start, stats.summary_end);
+            self.obs.index.summary_mirror_bytes(bytes as u64);
             if let Some(k) = fault::check(
                 fault::SLICE_PRUNE,
                 &retention::segment::slice_dir_name(slice),
@@ -839,6 +853,7 @@ impl Loom {
             record_log: Arc::clone(record.shared()),
             chunk_log: Arc::clone(chunk.shared()),
             ts_log: Arc::clone(ts.shared()),
+            summaries: SummaryMirror::default(),
             stats: Arc::clone(&shared.stats),
             obs,
             manifest: Mutex::named("loom.manifest", manifest),
@@ -916,7 +931,7 @@ impl Loom {
         // Fast path: the manifest ends with a clean-shutdown marker whose
         // tails are consistent with the files on disk. Anything else gets
         // the full scan.
-        let clean = manifest
+        let marker = manifest
             .clean_shutdown()
             .filter(|s| s.validate(&config.dir, &config).is_ok())
             .cloned();
@@ -927,15 +942,30 @@ impl Loom {
         // checksums only. This also sweeps orphan segment files (crash
         // before a commit) and leftover pruned slice directories (crash
         // before an unlink).
-        let cold_snap =
-            retention::open_cold_tier(&config.dir, manifest.records(), clean.is_none())?;
-        let recovered = match clean {
-            Some(s) => {
+        let mut cold_snap =
+            retention::open_cold_tier(&config.dir, manifest.records(), marker.is_none())?;
+        // The fast path still reads the chunk index once, verifying every
+        // frame, to seed the summary mirror. A damaged frame demotes the
+        // reopen to the full scan, which rebuilds the summary from the
+        // chunk's records (and deep-verifies the cold tier like any dirty
+        // reopen).
+        let demotable = marker.is_some();
+        let clean = marker.and_then(|s| {
+            let summaries =
+                crate::durability::load_summaries(&config.dir, s.chunk_tail, &cold_snap).ok()?;
+            Some((s, summaries))
+        });
+        if demotable && clean.is_none() {
+            cold_snap = retention::open_cold_tier(&config.dir, manifest.records(), true)?;
+        }
+        let mut recovered = match clean {
+            Some((s, summaries)) => {
                 let mut st = RecoveredState {
                     record_tail: s.record_tail,
                     chunk_tail: s.chunk_tail,
                     ts_tail: s.ts_tail,
                     last_seal: s.last_seal,
+                    summaries,
                     ..RecoveredState::default()
                 };
                 st.report.clean = true;
@@ -1001,6 +1031,10 @@ impl Loom {
             recovered.ts_tail,
         )?;
 
+        // The summaries the reopen just verified seed the mirror.
+        let summaries = SummaryMirror::from(std::mem::take(&mut recovered.summaries));
+        obs.index.summary_mirror_bytes(summaries.bytes() as u64);
+
         // Republish the recovered per-source read pointers and seed the
         // writer-private source state. Only sources homed in this shard
         // appear in its logs, so sibling shards never contend on the same
@@ -1038,6 +1072,7 @@ impl Loom {
             record_log: Arc::clone(record.shared()),
             chunk_log: Arc::clone(chunk.shared()),
             ts_log: Arc::clone(ts.shared()),
+            summaries,
             stats: Arc::clone(&shared.stats),
             obs,
             manifest: Mutex::named("loom.manifest", manifest),
@@ -1625,8 +1660,13 @@ impl ShardWriter {
 
         let mut rebuilt = 0u64;
         let mut buf = vec![0u8; chunk_size as usize];
+        let cold = Arc::clone(&self.inner.cold.read());
         for &chunk_addr in &recovered.resummarize {
-            self.inner.record_log.read_at(chunk_addr, &mut buf)?;
+            // An aged chunk's hot copy may be punched: read its segment,
+            // as the record-log scan did.
+            if !cold.read_chunk(chunk_addr, &mut buf)? {
+                self.inner.record_log.read_at(chunk_addr, &mut buf)?;
+            }
             let timer = Stopwatch::start();
             let mut summary =
                 ChunkSummary::new(chunk_addr / chunk_size, chunk_addr, chunk_size as u32);
@@ -1643,22 +1683,8 @@ impl ShardWriter {
                     }
                 }
             }
-            let mut out = Vec::with_capacity(256);
-            summary.encode(&mut out);
-            let summary_addr = self.chunk.append(&out)?;
-            self.inner
-                .obs
-                .engine
-                .chunk_sealed(timer.elapsed_nanos(), out.len() as u64);
             seal_ts = seal_ts.max(summary.ts_max);
-            let entry = TsEntry {
-                kind: TsKind::ChunkSeal,
-                source: 0,
-                ts: seal_ts,
-                target: summary_addr,
-                prev: self.last_seal,
-            };
-            self.last_seal = self.ts.append(&entry.encode())?;
+            self.append_summary(&summary, seal_ts, timer)?;
             rebuilt += 1;
         }
 
@@ -1963,7 +1989,17 @@ impl ShardWriter {
             }
         }
         self.active.reset();
+        self.append_summary(&summary, ts, timer)?;
+        self.inner.stats.inc_chunks_sealed();
+        self.inner.stats.inc_ts_entries();
+        Ok(())
+    }
 
+    /// Appends `summary` to the chunk index, mirrors it, and records its
+    /// seal at `ts` in the timestamp index. Nothing here publishes, so
+    /// the mirror holds the summary before either watermark can expose
+    /// its seal to a query (DESIGN §10.1).
+    fn append_summary(&mut self, summary: &ChunkSummary, ts: u64, timer: Stopwatch) -> Result<()> {
         let mut buf = Vec::with_capacity(256);
         summary.encode(&mut buf);
         let summary_addr = self.chunk.append(&buf)?;
@@ -1971,7 +2007,11 @@ impl ShardWriter {
             .obs
             .engine
             .chunk_sealed(timer.elapsed_nanos(), buf.len() as u64);
-
+        let bytes = self
+            .inner
+            .summaries
+            .append(summary_addr, buf.len(), summary);
+        self.inner.obs.index.summary_mirror_bytes(bytes as u64);
         let entry = TsEntry {
             kind: TsKind::ChunkSeal,
             source: 0,
@@ -1980,8 +2020,6 @@ impl ShardWriter {
             prev: self.last_seal,
         };
         self.last_seal = self.ts.append(&entry.encode())?;
-        self.inner.stats.inc_chunks_sealed();
-        self.inner.stats.inc_ts_entries();
         Ok(())
     }
 

@@ -44,6 +44,25 @@ impl LogRead for Snapshot<'_> {
     }
 }
 
+/// A log image read into memory whole (reopen loads, tests).
+impl LogRead for Vec<u8> {
+    fn read_at(&self, addr: u64, dst: &mut [u8]) -> Result<()> {
+        let end = addr as usize + dst.len();
+        if end > self.len() {
+            return Err(crate::error::LoomError::AddressOutOfBounds {
+                addr: end as u64,
+                tail: self.len() as u64,
+            });
+        }
+        dst.copy_from_slice(&self[addr as usize..end]);
+        Ok(())
+    }
+
+    fn limit(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

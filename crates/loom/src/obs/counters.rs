@@ -97,6 +97,16 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Sets the gauge (for gauges that track a size rather than count
+    /// events).
+    #[inline]
+    pub fn set(&self, v: u64) {
+        #[cfg(feature = "self-obs")]
+        self.0.store(v, Ordering::Relaxed);
+        #[cfg(not(feature = "self-obs"))]
+        let _ = v;
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -293,6 +293,7 @@ pub struct IndexObs {
     summary_probes: Counter,
     chunk_hits: Counter,
     false_positive_chunks: Counter,
+    summary_mirror_bytes: Gauge,
 }
 
 impl IndexObs {
@@ -320,12 +321,19 @@ impl IndexObs {
         self.false_positive_chunks.inc();
     }
 
+    /// The shard's summary mirror now holds `bytes` bytes.
+    #[inline]
+    pub(crate) fn summary_mirror_bytes(&self, bytes: u64) {
+        self.summary_mirror_bytes.set(bytes);
+    }
+
     fn snapshot(&self) -> IndexMetrics {
         IndexMetrics {
             ts_seeks: self.ts_seeks.get(),
             summary_probes: self.summary_probes.get(),
             chunk_hits: self.chunk_hits.get(),
             false_positive_chunks: self.false_positive_chunks.get(),
+            summary_mirror_bytes: self.summary_mirror_bytes.get(),
         }
     }
 }

@@ -91,6 +91,9 @@ pub struct IndexMetrics {
     /// Chunks read because their summary matched, that then yielded zero
     /// matching records — the summary's false positives.
     pub false_positive_chunks: u64,
+    /// Memory held by the in-memory summary mirror (every sealed,
+    /// unpruned chunk summary, decoded once), in bytes (gauge).
+    pub summary_mirror_bytes: u64,
 }
 
 /// Query layer: operator counts, per-query latency, and pool usage.
@@ -255,6 +258,7 @@ impl MetricsSnapshot {
         i.summary_probes += oi.summary_probes;
         i.chunk_hits += oi.chunk_hits;
         i.false_positive_chunks += oi.false_positive_chunks;
+        i.summary_mirror_bytes += oi.summary_mirror_bytes;
 
         let q = &mut self.query;
         let oq = &other.query;
@@ -403,6 +407,10 @@ impl MetricsSnapshot {
             (
                 "loom_index_false_positive_chunks_total",
                 self.index.false_positive_chunks,
+            ),
+            (
+                "loom_index_summary_mirror_bytes",
+                self.index.summary_mirror_bytes,
             ),
             ("loom_query_queries_total", self.query.queries),
             ("loom_query_nanos_total", self.query.query_nanos),

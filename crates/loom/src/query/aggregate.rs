@@ -159,7 +159,7 @@ fn count_bins(
                     }
                 }
             } else {
-                partial_chunks.push(summary.chunk_addr);
+                partial_chunks.push(summary.chunk_addr());
             }
             Ok(())
         },
@@ -328,12 +328,12 @@ fn distributive(
             }
             if fully {
                 if let Some(bins) = summary.index_bins(meta.id.0) {
-                    for s in bins.values() {
+                    for (_, s) in bins {
                         acc.fold_bin(s);
                     }
                 }
             } else {
-                partial_chunks.push(summary.chunk_addr);
+                partial_chunks.push(summary.chunk_addr());
             }
             Ok(())
         },
@@ -431,8 +431,11 @@ fn percentile(
             return Ok(()); // appended below, in partial-chunk order
         }
         if let Some(bins) = summary.index_bins(meta.id.0) {
-            if bins.get(&(target_bin as u32)).is_some_and(|s| s.count > 0) {
-                phase_b_chunks.push(summary.chunk_addr);
+            if bins
+                .iter()
+                .any(|(bin, s)| *bin == target_bin as u32 && s.count > 0)
+            {
+                phase_b_chunks.push(summary.chunk_addr());
             }
         }
         Ok(())

@@ -15,10 +15,10 @@ use super::executor::{self, RecordBatch};
 use super::planner::{self, SummaryPlan};
 use super::view::QueryView;
 use super::{IndexMeta, QueryOptions, Record, TimeRange, ValueRange};
+use crate::chunk_index::SummaryRef;
 use crate::error::Result;
 use crate::obs::{QueryPhases, Stopwatch};
 use crate::stats::QueryStats;
-use crate::summary::ChunkSummary;
 use crate::ts_index::{TsIndexView, TsKind};
 
 /// Executes an indexed scan over `view`, filling `phases` with per-stage
@@ -69,7 +69,7 @@ where
 }
 
 /// Whether a summary's bins for this index can contain values in range.
-fn bins_may_match(meta: &IndexMeta, summary: &ChunkSummary, values: &ValueRange) -> bool {
+fn bins_may_match(meta: &IndexMeta, summary: SummaryRef<'_>, values: &ValueRange) -> bool {
     let Some(bins) = summary.index_bins(meta.id.0) else {
         // No indexed data in this chunk (e.g., the index was defined after
         // the chunk sealed, §5.3): nothing for this index to return.
@@ -129,7 +129,7 @@ where
         &mut stats.summaries_scanned,
         |summary, _fully| {
             if summary.has_source(meta.source.0) && bins_may_match(meta, summary, &values) {
-                chunks.push(summary.chunk_addr);
+                chunks.push(summary.chunk_addr());
             }
             Ok(())
         },

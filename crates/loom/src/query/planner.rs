@@ -1,11 +1,14 @@
 //! Shared query planning: mapping a time range onto chunk summaries and
 //! the unsummarized tail region (§4.3).
+//!
+//! Summaries come from the view's capture of the shard's summary mirror
+//! (`chunk_index::SummaryMirror`): decoded once at seal or open, never
+//! re-read from the chunk index per query.
 
 use super::view::QueryView;
 use super::TimeRange;
-use crate::chunk_index::SummaryCursor;
-use crate::error::Result;
-use crate::summary::ChunkSummary;
+use crate::chunk_index::SummaryRef;
+use crate::error::{LoomError, Result};
 use crate::ts_index::TsIndexView;
 
 /// The chunk-index positions a query must visit.
@@ -15,8 +18,8 @@ pub(crate) struct SummaryPlan {
     pub start: Option<u64>,
     /// Chunk-index address of the last summary this view may use (the one
     /// referenced by the newest captured chunk-seal entry). Summaries past
-    /// this address exist in the chunk snapshot but are covered by the
-    /// tail region instead, avoiding double scanning.
+    /// this address may exist in the view's mirror capture but are
+    /// covered by the tail region instead, avoiding double scanning.
     pub stop: Option<u64>,
     /// Record-log address where the unsummarized tail region begins
     /// (chunk-aligned).
@@ -25,29 +28,44 @@ pub(crate) struct SummaryPlan {
     pub region_relevant: bool,
 }
 
+/// Where the chunk of the summary at chunk-index address `addr` ends.
+///
+/// Retention drops a pruned slice's summaries from the mirror, so a
+/// summary the view's timestamp snapshot reaches can be missing when a
+/// prune committed between the two captures; the view's cold snapshot,
+/// captured later, then marks its slice pruned, and everything up to the
+/// slice's last chunk reads as dropped.
+fn chunk_end_at(view: &QueryView<'_>, addr: u64) -> Result<u64> {
+    match view.summaries.get(addr) {
+        Some(s) => Ok(s.chunk_end()),
+        None => view
+            .cold
+            .slice_covering(addr)
+            .filter(|slice| slice.pruned)
+            .map(|slice| slice.chunk_end_max)
+            .ok_or_else(|| {
+                LoomError::Corrupt(format!(
+                    "chunk-seal entry points at chunk-index address {addr}, which holds no summary"
+                ))
+            }),
+    }
+}
+
 /// Builds a [`SummaryPlan`] for `range` using the timestamp index.
 pub(crate) fn plan(view: &QueryView<'_>, range: TimeRange) -> Result<SummaryPlan> {
     view.obs.index.ts_seek();
     let tsv = TsIndexView::new(&view.ts);
     let last_seal = tsv.last_seal_at_or_before(u64::MAX)?;
     let (region_start, region_relevant, stop) = match &last_seal {
-        Some(seal) => {
-            // Decode the seal's summary to learn where its chunk ends;
-            // records after that boundary are the tail region. The record
-            // that triggered the seal carries the seal's timestamp, so the
-            // region is irrelevant when the range ends before it.
-            let mut cursor = SummaryCursor::new(&view.chunk, seal.target);
-            let summary = cursor.next()?.ok_or_else(|| {
-                crate::error::LoomError::Corrupt(
-                    "chunk-seal entry points past the chunk index".into(),
-                )
-            })?;
-            (
-                summary.chunk_addr + summary.chunk_len as u64,
-                range.end >= seal.ts,
-                Some(seal.target),
-            )
-        }
+        // The seal's summary says where its chunk ends; records after
+        // that boundary are the tail region. The record that triggered
+        // the seal carries the seal's timestamp, so the region is
+        // irrelevant when the range ends before it.
+        Some(seal) => (
+            chunk_end_at(view, seal.target)?,
+            range.end >= seal.ts,
+            Some(seal.target),
+        ),
         None => (0, true, None),
     };
     let start = tsv
@@ -67,36 +85,33 @@ pub(crate) fn plan(view: &QueryView<'_>, range: TimeRange) -> Result<SummaryPlan
 /// Builds a plan that visits *all* summaries (chunk-index-only ablation:
 /// no timestamp index to seek with).
 pub(crate) fn plan_full(view: &QueryView<'_>) -> Result<SummaryPlan> {
-    // Without the timestamp index we conservatively iterate every summary
-    // in the chunk snapshot; the tail region starts where summaries end.
-    let mut cursor = SummaryCursor::new(&view.chunk, 0);
-    let mut start = None;
-    let mut stop = None;
-    let mut region_start = 0;
-    loop {
-        let pos = cursor.pos();
-        match cursor.next()? {
-            Some(summary) => {
-                if start.is_none() {
-                    start = Some(pos);
-                }
-                stop = Some(pos);
-                region_start = summary.chunk_addr + summary.chunk_len as u64;
-            }
-            None => break,
-        }
-    }
+    // Without the timestamp index we conservatively visit every summary
+    // inside the view's chunk-index watermark, starting from the log's
+    // first frame (address 0, possibly in a pruned slice); the tail
+    // region starts where those summaries end.
+    let last = match view.summaries.last_within(view.chunk_limit) {
+        Some(s) => Some((s.addr(), s.chunk_end())),
+        // Every summary the view holds was pruned: stop inside the last
+        // pruned slice, whose skip covers the rest.
+        None => view
+            .cold
+            .slices()
+            .iter()
+            .rev()
+            .find(|s| s.pruned && s.summary_end <= view.chunk_limit)
+            .map(|s| (s.summary_start, s.chunk_end_max)),
+    };
     Ok(SummaryPlan {
-        start,
-        stop,
-        region_start,
+        start: last.map(|_| 0),
+        stop: last.map(|(stop, _)| stop),
+        region_start: last.map_or(0, |(_, end)| end),
         region_relevant: true,
     })
 }
 
 /// Invokes `f(summary, fully_covered_in_time)` for every summary in the
-/// plan whose chunk overlaps `range`. Returns the per-call statistics via
-/// the caller's counter.
+/// plan whose chunk overlaps `range`, counting every summary visited in
+/// `summaries_scanned`.
 pub(crate) fn for_each_relevant_summary<F>(
     view: &QueryView<'_>,
     plan: &SummaryPlan,
@@ -105,57 +120,64 @@ pub(crate) fn for_each_relevant_summary<F>(
     mut f: F,
 ) -> Result<()>
 where
-    F: FnMut(&ChunkSummary, bool) -> Result<()>,
+    F: FnMut(SummaryRef<'_>, bool) -> Result<()>,
 {
     let (Some(start), Some(stop)) = (plan.start, plan.stop) else {
         return Ok(());
     };
-    let mut cursor = SummaryCursor::new(&view.chunk, start);
+    let mut pos = start;
+    let mut summaries = view.summaries.iter_from(pos);
     loop {
-        let pos = cursor.pos();
         if pos > stop {
             break;
         }
         if let Some(slice) = view.cold.slice_covering(pos) {
             // The slice super-summary answers for all its chunks at
-            // once. Pruned slice: its chunks were dropped by retention —
-            // count its summaries as visited and resume past its range,
-            // so the distributive-aggregate path never folds bins of
-            // dropped chunks. Live cold slice wholly before the range:
-            // every per-chunk summary would be skipped individually, so
-            // jump straight past it without decoding per-chunk metadata.
-            // (Summaries themselves live in the chunk log and are never
-            // punched — both skips are about relevance, not readability.
-            // Slices *after* the range get no special case: the first
-            // decoded summary's own arrival-order break handles them at
-            // the cost of one decode, keeping the visited-summary
-            // accounting identical to an unaged engine.)
+            // once. Pruned slice: its chunks were dropped by retention
+            // (and its summaries from the mirror) — count its summaries
+            // as visited and resume past its range, so the
+            // distributive-aggregate path never folds bins of dropped
+            // chunks. Live cold slice wholly before the range: every
+            // per-chunk summary would be skipped individually, so jump
+            // straight past it. (Slices *after* the range get no special
+            // case: the first summary's own arrival-order break handles
+            // them, keeping the visited-summary accounting identical to
+            // an unaged engine.)
             if slice.pruned || slice.ts_max < range.start {
                 *summaries_scanned += slice.chunks;
-                cursor = SummaryCursor::new(&view.chunk, slice.summary_end);
+                pos = slice.summary_end;
+                summaries = view.summaries.iter_from(pos);
                 continue;
             }
         }
-        let Some(summary) = cursor.next()? else { break };
+        let Some(summary) = summaries.next() else {
+            break;
+        };
+        if summary.addr() != pos {
+            return Err(LoomError::Corrupt(format!(
+                "summary mirror holds no summary at chunk-index address {pos}"
+            )));
+        }
+        pos = summary.end();
         *summaries_scanned += 1;
         if summary.record_count() == 0 {
             continue;
         }
-        if summary.chunk_addr < view.cold.pruned_below() {
+        if summary.chunk_addr() < view.cold.pruned_below() {
             // Belt and braces for prune floors the slice walk above
             // didn't cover (e.g., out-of-order prune commits).
             continue;
         }
-        if summary.ts_min > range.end {
+        if summary.ts_min() > range.end {
             // Chunks are sealed in arrival order, so later summaries only
             // contain later records.
             break;
         }
-        if summary.ts_max < range.start {
+        if summary.ts_max() < range.start {
             continue;
         }
-        let fully = summary.ts_min >= range.start && summary.ts_max <= range.end;
-        f(&summary, fully)?;
+        let fully = summary.ts_min() >= range.start && summary.ts_max() <= range.end;
+        f(summary, fully)?;
     }
     Ok(())
 }
@@ -277,7 +299,7 @@ mod tests {
             TimeRange::new(0, l.now() / 10),
             &mut scanned,
             |summary, _| {
-                max_ts_seen = max_ts_seen.max(summary.ts_min);
+                max_ts_seen = max_ts_seen.max(summary.ts_min());
                 Ok(())
             },
         )

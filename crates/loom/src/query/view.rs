@@ -1,17 +1,19 @@
 //! Point-in-time query views (§4.4, §5.5).
 //!
-//! A query captures snapshots of the three hybrid logs in the *reverse*
-//! of the publication order (§5.4): timestamp index first, then chunk
-//! index, then record log. Publication goes record → chunk → timestamp,
-//! so everything reachable from a captured timestamp entry (chunk
-//! summaries, records) is guaranteed to be inside the later-captured
-//! snapshots. The view is the query's linearization point: data published
-//! before the first snapshot is visible; later data is not (§4.5).
+//! A query captures its state in the *reverse* of the publication order
+//! (§5.4): the timestamp index first, then the chunk-index watermark,
+//! then the shard's summary mirror, then the record log. Publication goes
+//! mirror → record → chunk → timestamp, so everything reachable from a
+//! captured timestamp entry (chunk summaries, records) is guaranteed to
+//! be inside the later captures. The view is the query's linearization
+//! point: data published before the first snapshot is visible; later
+//! data is not (§4.5).
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use super::columnar::BufferPool;
+use crate::chunk_index::MirrorSnapshot;
 use crate::engine::Inner;
 use crate::error::Result;
 use crate::hybridlog::Snapshot;
@@ -25,8 +27,13 @@ use crate::stats::QueryStats;
 pub(crate) struct QueryView<'a> {
     /// Snapshot of the timestamp index (captured first).
     pub ts: Snapshot<'a>,
-    /// Snapshot of the chunk index (captured second).
-    pub chunk: Snapshot<'a>,
+    /// The chunk-index watermark (captured second): the summaries whose
+    /// frames end at or below it belong to this view.
+    pub chunk_limit: u64,
+    /// The shard's summary mirror (captured third). It holds every
+    /// summary the timestamp snapshot can reach, and possibly a few the
+    /// view must ignore (sealed since).
+    pub summaries: MirrorSnapshot,
     /// Snapshot of the record log (captured last).
     pub rec: Snapshot<'a>,
     /// The cold tier at capture time. Chunks this snapshot owns are read
@@ -50,7 +57,7 @@ pub(crate) struct QueryView<'a> {
     pub bufs: &'a BufferPool,
 }
 
-// The parallel executor shares one view (and its three snapshots) across
+// The parallel executor shares one view (its snapshots and captures) across
 // scoped worker threads by reference. Everything inside is either immutable
 // owned data or atomics/raw blocks that `hybridlog` explicitly declares
 // thread-safe, so both types must remain `Send + Sync`; this assertion
@@ -74,7 +81,10 @@ impl<'a> QueryView<'a> {
     /// hold the source handle and skip a second lock acquisition).
     pub fn capture_from(inner: &'a Inner, source: &SourceShared) -> Result<Self> {
         let ts = inner.ts_log.snapshot()?;
-        let chunk = inner.chunk_log.snapshot()?;
+        let chunk_limit = inner.chunk_log.watermark();
+        // After both: the writer mirrors a summary before it publishes
+        // the watermarks that reach it, so every seal in `ts` resolves.
+        let summaries = inner.summaries.capture();
         // Load the source pointer *before* the record snapshot: the writer
         // publishes the record-log watermark before the pointer, so the
         // acquire load here guarantees the record snapshot (taken after)
@@ -92,7 +102,8 @@ impl<'a> QueryView<'a> {
         let cold = Arc::clone(&inner.cold.read());
         Ok(QueryView {
             ts,
-            chunk,
+            chunk_limit,
+            summaries,
             rec,
             cold,
             source_last,

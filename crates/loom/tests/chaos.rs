@@ -25,8 +25,8 @@ use std::sync::Arc;
 use loom::fault::{self, FaultKind, FaultSpec, Trigger};
 use loom::record::NIL_ADDR;
 use loom::{
-    Config, EngineHealth, IoRetryPolicy, Loom, LoomError, LoomWriter, OverloadPolicy, SourceId,
-    TimeRange,
+    Clock, Config, EngineHealth, IoRetryPolicy, Loom, LoomError, LoomWriter, OverloadPolicy,
+    SourceId, TimeRange,
 };
 
 struct Env {
@@ -44,8 +44,8 @@ impl Env {
     /// milliseconds, and `remove_on_drop` off so reopens see the files.
     /// Pinned to the flat single-shard layout: the schedules target log
     /// files by bare-name tag (which would substring-match every
-    /// shard's log) and are calibrated to one funnel. Cross-shard fault
-    /// isolation is covered in tests/shard.rs.
+    /// shard's log) and are calibrated to one funnel, except
+    /// `one_shard_degrades_alone`, which opens its own sharded engine.
     fn config(&self) -> Config {
         let mut c = Config::small(&self.dir).with_shards(1);
         c.remove_on_drop = false;
@@ -623,6 +623,85 @@ fn concurrent_storm_across_all_logs_keeps_queries_consistent() {
         assert_seq_prefix(&loom2, resolve(&loom2, "app"), accepted);
         assert_eq!(loom2.health(), EngineHealth::Healthy);
     }
+}
+
+/// Persistent ENOSPC on one shard's record log drives *that shard* to
+/// terminal read-only; every other shard stays healthy and keeps
+/// ingesting. This is the tenant-isolation property the sharded layout
+/// exists for — one tenant filling its disk budget must not take down
+/// its neighbours. (It lives here, not in tests/shard.rs, because its
+/// tag matches `shard-N/records.log` of *every* engine in the process:
+/// the scenario lock keeps it from firing into other tests' engines.)
+#[test]
+fn one_shard_degrades_alone() {
+    let _s = fault::Scenario::begin();
+    let env = Env::new("isolate");
+    let mut config = Config::small(&env.dir).with_shards(4);
+    config.remove_on_drop = false;
+    let (loom, mut writer) = Loom::open_with_clock(config, Clock::manual(100)).unwrap();
+
+    // Find a victim source and a bystander on a different shard.
+    let victim = loom.define_source("victim");
+    let bad = loom.home_shard(victim);
+    let bystander = (0..64)
+        .map(|i| loom.define_source(&format!("bystander-{i}")))
+        .find(|s| loom.home_shard(*s) != bad)
+        .expect("64 sources over 4 shards must hit another shard");
+    let good = loom.home_shard(bystander);
+
+    // The tag prefixes every log file of shard `bad` and no other.
+    fault::configure(
+        fault::FLUSHER_WRITE,
+        FaultSpec::new(FaultKind::Enospc, Trigger::Always)
+            .for_tag(format!("shard-{bad}/records.log")),
+    );
+
+    // Push into the victim until its shard's retry budget is exhausted
+    // and ingest fails fast.
+    let mut rejected = None;
+    for i in 0..2_000_000u64 {
+        loom.clock().advance(1);
+        if let Err(e) = writer.push(victim, &i.to_le_bytes()) {
+            rejected = Some(e);
+            break;
+        }
+    }
+    let e = rejected.expect("the failing shard must reject ingest");
+    assert!(
+        matches!(&e, LoomError::Degraded { reason } if reason.contains(&format!("shard-{bad}/"))),
+        "degradation must name the failing shard's log, got {e}"
+    );
+
+    // The failing shard lands in terminal read-only; the engine's
+    // worst-of-shards health follows it.
+    wait_health(&loom, |h| matches!(h, EngineHealth::ReadOnly { .. }));
+    assert!(matches!(
+        loom.shard_health()[bad],
+        EngineHealth::ReadOnly { .. }
+    ));
+
+    // Every *other* shard never saw a fault: still healthy, still
+    // ingesting, still serving queries.
+    for (i, h) in loom.shard_health().iter().enumerate() {
+        if i != bad {
+            assert_eq!(*h, EngineHealth::Healthy, "shard {i} was collateral damage");
+        }
+    }
+    for v in 0..1_000u64 {
+        loom.clock().advance(1);
+        writer.push(bystander, &v.to_le_bytes()).unwrap();
+    }
+    let mut scanned = 0;
+    loom.raw_scan(bystander, TimeRange::new(0, u64::MAX), |_| scanned += 1)
+        .unwrap();
+    assert_eq!(scanned, 1_000);
+    assert_eq!(loom.shard_health()[good], EngineHealth::Healthy);
+
+    // Victim pushes keep failing fast rather than wedging.
+    assert!(matches!(
+        writer.push(victim, &0u64.to_le_bytes()),
+        Err(LoomError::Degraded { .. })
+    ));
 }
 
 /// Re-resolves a source by name after a reopen.

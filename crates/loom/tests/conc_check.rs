@@ -1,19 +1,24 @@
-//! Model-check harnesses for the hybrid log's lock-free protocols.
+//! Model-check harnesses for the hybrid log's lock-free protocols and
+//! the summary mirror's publication order.
 //!
 //! Compiled only under `--cfg conc_check`, where the crate's `sync`
 //! facade resolves to `conc-check`'s instrumented primitives: every
 //! atomic op, spin hint, and yield in `hybridlog::Block` becomes a
-//! scheduling point, and the checker enumerates thread interleavings
-//! exhaustively up to a preemption bound. Run with:
+//! scheduling point (each `SummaryMirror` operation is one, too), and
+//! the checker enumerates thread interleavings exhaustively up to a
+//! preemption bound. Run with:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg conc_check" cargo test -p loom --test conc_check
 //! ```
 #![cfg(conc_check)]
 
+use conc_check::sync::atomic::{AtomicU64, Ordering};
 use conc_check::sync::{thread, Arc};
 use conc_check::{Checker, FailureKind};
+use loom::chunk_index::SummaryMirror;
 use loom::hybridlog::Block;
+use loom::summary::ChunkSummary;
 
 const CAP: usize = 8;
 
@@ -147,4 +152,79 @@ fn ping_pong_swap_and_flush_handoff() {
         })
         .expect("ping-pong swap + flush handoff must have no failing interleaving");
     assert!(report.schedules > 10);
+}
+
+/// Summaries sealed per summary-mirror harness run.
+const SEALS: u64 = 2;
+/// Chunk-index frame length of each miniature summary.
+const FRAME: u64 = 100;
+
+/// Summary-mirror publication order (DESIGN §10.1), miniaturized from
+/// `ShardWriter::append_summary` and `QueryView::capture_from`: the
+/// writer mirrors each summary, then publishes the chunk-index and
+/// timestamp watermarks; a reader captures timestamp → chunk → mirror.
+/// Every seal inside the reader's timestamp snapshot must resolve in its
+/// mirror capture. `publish_first` seeds the bug: watermarks before the
+/// mirror append.
+fn summary_mirror_protocol(publish_first: bool) -> Result<conc_check::Report, conc_check::Failure> {
+    Checker::new().with_preemption_bound(3).check(move || {
+        let mirror = Arc::new(SummaryMirror::default());
+        // Seals published (the timestamp index) and the chunk-index
+        // watermark; seal `i` targets the frame at `i * FRAME`.
+        let ts_wm = Arc::new(AtomicU64::new(0));
+        let chunk_wm = Arc::new(AtomicU64::new(0));
+
+        let (m, ts, chunk) = (
+            Arc::clone(&mirror),
+            Arc::clone(&ts_wm),
+            Arc::clone(&chunk_wm),
+        );
+        let reader = thread::spawn(move || {
+            let seals = ts.load(Ordering::Acquire);
+            let limit = chunk.load(Ordering::Acquire);
+            let snap = m.capture();
+            for i in 0..seals {
+                assert!(
+                    snap.get(i * FRAME).is_some(),
+                    "seal {i} is published but missing from the mirror capture"
+                );
+            }
+            assert!(limit >= seals * FRAME, "chunk watermark behind a seal");
+        });
+
+        for i in 0..SEALS {
+            let mut summary = ChunkSummary::new(i, i * 4096, 4096);
+            summary.observe_record(1, i);
+            if !publish_first {
+                mirror.append(i * FRAME, FRAME as usize, &summary);
+            }
+            chunk_wm.store((i + 1) * FRAME, Ordering::Release);
+            ts_wm.store(i + 1, Ordering::Release);
+            if publish_first {
+                mirror.append(i * FRAME, FRAME as usize, &summary);
+            }
+        }
+        reader.join().unwrap();
+    })
+}
+
+#[test]
+fn summary_mirror_append_precedes_publication() {
+    let report = summary_mirror_protocol(false)
+        .expect("every published seal must resolve in the mirror capture");
+    assert!(report.complete, "schedule space must be fully enumerated");
+    assert!(report.schedules > 10, "expected real interleaving choices");
+}
+
+/// Teeth: publishing the watermarks before the mirror append lets a
+/// reader see a seal whose summary its capture lacks.
+#[test]
+fn summary_mirror_publish_before_append_is_caught() {
+    let failure = summary_mirror_protocol(true)
+        .expect_err("publish-before-append must be caught by the checker");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("missing from the mirror"),
+        "{failure}"
+    );
 }

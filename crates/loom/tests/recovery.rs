@@ -3,8 +3,8 @@
 //! survival across restarts.
 
 use loom::{
-    Aggregate, Clock, Config, ExtractorDesc, HistogramSpec, LogId, Loom, LoomError, SourceId,
-    TimeRange, ValueRange,
+    Aggregate, Clock, Config, ExtractorDesc, HistogramSpec, LogId, Loom, LoomError,
+    RetentionConfig, SourceId, TimeRange, ValueRange,
 };
 
 struct Env {
@@ -268,6 +268,91 @@ fn flipped_byte_in_chunk_index_rebuilds_summaries() {
         .aggregate(Aggregate::Count)
         .unwrap();
     assert_eq!(count.value, Some(3_000.0));
+}
+
+/// A clean shutdown vouches for the log tails, not for the bytes since.
+/// A summary frame corrupted after `close()` must demote the reopen to
+/// dirty recovery — which rebuilds the summary from the chunk's records,
+/// read from the cold tier when the chunk was aged — instead of taking
+/// the fast path and failing every indexed query over that chunk with
+/// `CorruptLog`.
+fn summary_corrupted_after_clean_close(name: &str, retention: RetentionConfig) {
+    let env = Env::new(name);
+    let open = |start| {
+        let config = Config::small(&env.dir)
+            .with_shards(1)
+            .with_retention(retention.clone());
+        Loom::open_with_clock(config, Clock::manual(start)).unwrap()
+    };
+    let (loom, mut writer) = open(1_000);
+    let s = loom.define_source("app");
+    let idx = loom
+        .define_index_desc(s, ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    push_n(&loom, &mut writer, s, 3_000, |i| i * 7 % 60_000);
+    let answers = |loom: &Loom| {
+        let query = || loom.query(s).index(idx).range(TimeRange::new(0, u64::MAX));
+        let mut recs = Vec::new();
+        query()
+            .value_range(ValueRange::new(10_000.0, 30_000.0))
+            .scan(|r| recs.push((r.addr, r.ts, r.payload.to_vec())))?;
+        let mut aggs = Vec::new();
+        for m in [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Max,
+            Aggregate::Percentile(99.0),
+        ] {
+            aggs.push(query().aggregate(m)?.value.map(f64::to_bits));
+        }
+        let (bins, _) = query().bin_counts()?;
+        Ok::<_, LoomError>((recs, aggs, bins, scan_all(loom, s)))
+    };
+    let before = answers(&loom).unwrap();
+    writer.close().unwrap();
+    drop(loom);
+
+    // Flip one body byte of the summary frame in the middle of the log.
+    let path = env.dir.join(LogId::Chunks.file_name());
+    let bytes = std::fs::read(&path).unwrap();
+    let mut frames = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        frames.push(pos);
+        pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    let victim = frames[frames.len() / 2] + 8 + 20;
+    flip_byte(&path, (bytes.len() - 1 - victim) as u64);
+
+    let (loom2, _w) = open(0);
+    assert_eq!(answers(&loom2).unwrap(), before);
+    let report = loom2.recovery_report().unwrap();
+    assert!(
+        !report.clean,
+        "a corrupt summary must demote the clean reopen"
+    );
+    assert!(report.truncations.iter().any(|t| t.log == LogId::Chunks));
+    assert!(report.summaries_rebuilt > 0, "{report:?}");
+    if retention.enabled {
+        assert!(loom2.tier_stats()[0].cold.chunks > 0, "chunks must be cold");
+    }
+}
+
+#[test]
+fn summary_corrupted_after_clean_close_is_rebuilt_on_reopen() {
+    summary_corrupted_after_clean_close("clean-flip-summary", RetentionConfig::default());
+}
+
+/// The same with every chunk aged at close: the hot copies are punched,
+/// so the rebuild must read the cold segments.
+#[test]
+fn aged_summary_corrupted_after_clean_close_is_rebuilt_on_reopen() {
+    let aged = RetentionConfig {
+        enabled: true,
+        cold_after: 0,
+        ..RetentionConfig::default()
+    };
+    summary_corrupted_after_clean_close("clean-flip-aged-summary", aged);
 }
 
 #[test]
