@@ -1664,7 +1664,9 @@ impl ShardWriter {
         for &chunk_addr in &recovered.resummarize {
             // An aged chunk's hot copy may be punched: read its segment,
             // as the record-log scan did.
-            if !cold.read_chunk(chunk_addr, &mut buf)? {
+            if cold.read_chunk(chunk_addr, &mut buf)? {
+                self.inner.obs.engine.cold_byte_decode();
+            } else {
                 self.inner.record_log.read_at(chunk_addr, &mut buf)?;
             }
             let timer = Stopwatch::start();

@@ -212,6 +212,7 @@ pub struct EngineObs {
     tier_aged_comp_bytes: Counter,
     tier_slices_pruned: Counter,
     tier_cold_chunk_reads: Counter,
+    tier_cold_byte_decodes: Counter,
 }
 
 impl EngineObs {
@@ -266,6 +267,13 @@ impl EngineObs {
         self.tier_cold_chunk_reads.inc();
     }
 
+    /// A cold chunk was inflated back into record bytes (raw scans and
+    /// summary rebuilds; indexed queries decode cold frames into columns).
+    #[inline]
+    pub(crate) fn cold_byte_decode(&self) {
+        self.tier_cold_byte_decodes.inc();
+    }
+
     fn snapshot(&self) -> CoordinatorMetrics {
         CoordinatorMetrics {
             chunks_sealed: self.chunks_sealed.get(),
@@ -282,6 +290,7 @@ impl EngineObs {
             tier_aged_comp_bytes: self.tier_aged_comp_bytes.get(),
             tier_slices_pruned: self.tier_slices_pruned.get(),
             tier_cold_chunk_reads: self.tier_cold_chunk_reads.get(),
+            tier_cold_byte_decodes: self.tier_cold_byte_decodes.get(),
         }
     }
 }

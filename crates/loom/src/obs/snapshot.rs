@@ -76,6 +76,9 @@ pub struct CoordinatorMetrics {
     pub tier_slices_pruned: u64,
     /// Chunks read (and decompressed) from the cold tier by queries.
     pub tier_cold_chunk_reads: u64,
+    /// Cold chunks inflated back into record bytes (raw scans and
+    /// summary rebuilds).
+    pub tier_cold_byte_decodes: u64,
 }
 
 /// Index layer: timestamp-index seeks and chunk-summary pruning.
@@ -251,6 +254,7 @@ impl MetricsSnapshot {
         c.tier_aged_comp_bytes += oc.tier_aged_comp_bytes;
         c.tier_slices_pruned += oc.tier_slices_pruned;
         c.tier_cold_chunk_reads += oc.tier_cold_chunk_reads;
+        c.tier_cold_byte_decodes += oc.tier_cold_byte_decodes;
 
         let i = &mut self.index;
         let oi = &other.index;
@@ -400,6 +404,10 @@ impl MetricsSnapshot {
             (
                 "loom_tier_cold_chunk_reads_total",
                 self.coordinator.tier_cold_chunk_reads,
+            ),
+            (
+                "loom_tier_cold_byte_decodes_total",
+                self.coordinator.tier_cold_byte_decodes,
             ),
             ("loom_index_ts_seeks_total", self.index.ts_seeks),
             ("loom_index_summary_probes_total", self.index.summary_probes),

@@ -171,6 +171,7 @@ impl<'a> QueryView<'a> {
             if cache.addr != Some(base) {
                 self.cold.read_chunk(base, &mut cache.bytes)?;
                 self.obs.engine.cold_chunk_read();
+                self.obs.engine.cold_byte_decode();
                 cache.addr = Some(base);
             }
             let off = (addr - base) as usize;
@@ -188,18 +189,31 @@ impl<'a> QueryView<'a> {
         self.rec.read_at(addr, out)
     }
 
-    /// Reads the `len`-byte chunk piece at chunk-aligned `pos` into
-    /// `buf[..len]` from whichever tier owns it: cold chunks decompress
-    /// from their segment frame, pruned chunks read as zeros, everything
-    /// else reads from the record log.
-    fn read_piece(&self, pos: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
-        if self.cold.read_chunk(pos, buf)? {
-            self.obs.engine.cold_chunk_read();
-            if buf.len() < len {
-                buf.resize(len, 0);
-            }
-            return Ok(());
+    /// Length of the chunk piece at chunk-aligned `chunk_addr`, clamped
+    /// to the record watermark: `0` at or past it.
+    pub fn piece_len(&self, chunk_addr: u64) -> usize {
+        debug_assert_eq!(
+            chunk_addr % self.chunk_size,
+            0,
+            "chunk addr must be aligned"
+        );
+        let wm = self.rec.watermark();
+        if chunk_addr >= wm {
+            return 0;
         }
+        self.chunk_size.min(wm - chunk_addr) as usize
+    }
+
+    /// Reads the `len`-byte piece of a chunk the cold tier does not own
+    /// into `buf[..len]`: zeros below the prune floor, otherwise the
+    /// record log.
+    ///
+    /// This is chunk decode's hot read primitive. The buffer is grown
+    /// (and zero-initialized) to the chunk size at most once and then
+    /// reused for every piece, so repeated reads — the serial chunk loop
+    /// as well as each pool worker — pay neither a per-piece allocation
+    /// nor a redundant memset that the read would immediately overwrite.
+    pub fn read_hot_piece(&self, pos: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
         if buf.len() < len {
             buf.resize(len, 0);
         }
@@ -208,30 +222,6 @@ impl<'a> QueryView<'a> {
             return Ok(());
         }
         self.rec.read_at(pos, &mut buf[..len])
-    }
-
-    /// Reads the raw bytes of the chunk piece at `chunk_addr` (clamped
-    /// to the watermark) into `buf`, returning the piece length — `0`
-    /// when the address is at or past the watermark.
-    ///
-    /// This is chunk decode's read primitive. The buffer is grown (and
-    /// zero-initialized) to the chunk size at most once and then reused
-    /// for every piece, so repeated reads — the serial chunk loop as well
-    /// as each pool worker — pay neither a per-piece allocation nor a
-    /// redundant memset that the read would immediately overwrite.
-    pub fn read_chunk_raw(&self, chunk_addr: u64, buf: &mut Vec<u8>) -> Result<usize> {
-        debug_assert_eq!(
-            chunk_addr % self.chunk_size,
-            0,
-            "chunk addr must be aligned"
-        );
-        let wm = self.rec.watermark();
-        if chunk_addr >= wm {
-            return Ok(0);
-        }
-        let len = self.chunk_size.min(wm - chunk_addr) as usize;
-        self.read_piece(chunk_addr, len, buf)?;
-        Ok(len)
     }
 }
 

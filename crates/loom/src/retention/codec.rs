@@ -24,10 +24,24 @@
 //! **bit-identical** to the hot bytes it replaced *by construction*, not
 //! by codec correctness: any discrepancy falls back to raw storage at
 //! compaction time.
+//!
+//! **One walker, two sinks.** `walk_columnar` is the only parser of a
+//! columnar body; it bounds every length and count before anything is
+//! allocated and hands each entry to a `ColumnarSink`:
+//!
+//! - the *byte sink* (behind [`decompress_chunk`], the segment reader's
+//!   `read_chunk_frame`, compaction's round-trip check, deep segment
+//!   validation, recovery and raw scans) rebuilds the exact chunk bytes.
+//!   It is the only place record CRCs are re-derived: once per record,
+//!   after the exception list has patched every back pointer in place;
+//! - the *column sink* (`query::columnar`) fills a `ColumnBatch`
+//!   directly — addresses, timestamps, extracted values and the queried
+//!   source's payloads — so indexed queries over cold chunks never
+//!   rebuild, re-checksum or re-parse record bytes.
 
-use crate::durability::LogId;
+use crate::durability::{crc32_pair, LogId, MAX_FRAME_LEN};
 use crate::error::{LoomError, Result};
-use crate::record::{RecordHeader, NIL_ADDR, RECORD_HEADER_SIZE, SOURCE_PAD};
+use crate::record::{RecordHeader, NIL_ADDR, RECORD_CRC_OFFSET, RECORD_HEADER_SIZE, SOURCE_PAD};
 
 /// Codec id: chunk bytes stored unchanged.
 pub const CODEC_RAW: u8 = 0;
@@ -252,139 +266,255 @@ fn encode_columnar(bytes: &[u8], base_addr: u64) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Decodes a [`CODEC_COLUMNAR`] body back into the exact chunk bytes.
-fn decode_columnar(body: &[u8], base_addr: u64, out: &mut Vec<u8>) -> Result<()> {
+/// Upper bound on the length of any chunk a cold frame describes. A chunk
+/// the columnar codec declines is stored raw, in one frame, so no chunk
+/// the segment format can hold is longer than the frame ceiling.
+pub(crate) const MAX_CHUNK_LEN: usize = MAX_FRAME_LEN as usize;
+
+/// Receives the entries of a [`CODEC_COLUMNAR`] body from
+/// [`walk_columnar`], in chunk order.
+pub(crate) trait ColumnarSink {
+    /// The header parsed: the chunk is `raw_len` bytes (already checked
+    /// against the caller's bound). Called once, before any entry.
+    fn begin(&mut self, raw_len: usize);
+
+    /// A padding entry with a `len`-byte zero payload.
+    fn pad(&mut self, len: u32);
+
+    /// A data record whose header starts at chunk offset `off`, with its
+    /// back pointer predicted as `prev` (the exception list may override
+    /// it, see [`ColumnarSink::exception`]). Returns `false` to end the
+    /// walk after this record.
+    fn record(&mut self, off: usize, source: u32, prev: u64, ts: u64, payload: &[u8]) -> bool;
+
+    /// Entry `idx` (counted over all entries, pads included) is a data
+    /// record whose back pointer is `prev`, not the predicted one. Called
+    /// only once every entry was delivered, with strictly ascending
+    /// indices.
+    fn exception(&mut self, idx: usize, prev: u64);
+}
+
+/// One source-dictionary slot during a walk.
+struct DictSlot {
+    source: u32,
+    /// Back pointer of the source's next record in this chunk.
+    prev: u64,
+    /// Payload bits of the source's last 8-byte record (the XOR base).
+    bits: u64,
+}
+
+/// The one parser of a [`CODEC_COLUMNAR`] body: header varints, source
+/// dictionary, the tag/len/delta-of-delta/XOR entry loop, pads, the
+/// exception list, and every length and trailing-bytes check, feeding
+/// each entry to `sink`.
+///
+/// `max_len` bounds the chunk length the body may claim; the dictionary
+/// and entry counts are bounded by the chunk's header capacity before
+/// either sizes an allocation. When the sink stops early the rest of the
+/// body is not examined.
+pub(crate) fn walk_columnar<S: ColumnarSink>(
+    body: &[u8],
+    base_addr: u64,
+    max_len: usize,
+    sink: &mut S,
+) -> Result<()> {
     let mut r = Reader::new(body);
-    let raw_len = r.varint()? as usize;
-    let tail_zeros = r.varint()? as usize;
-    let dict_len = r.varint()? as usize;
-    if dict_len > raw_len {
+    let raw_len = r.varint()?;
+    if raw_len > max_len as u64 {
+        return Err(corrupt(format!(
+            "chunk length {raw_len} exceeds bound {max_len}"
+        )));
+    }
+    let raw_len = raw_len as usize;
+    let tail_zeros = r.varint()?;
+    // Every dictionary source owns at least one entry, and every entry
+    // at least a header's worth of the chunk.
+    let max_entries = (raw_len / RECORD_HEADER_SIZE) as u64;
+    let dict_len = r.varint()?;
+    if dict_len > max_entries {
         return Err(corrupt("dictionary larger than chunk"));
     }
-    let mut dict: Vec<(u32, u64)> = Vec::with_capacity(dict_len);
+    let mut dict: Vec<DictSlot> = Vec::with_capacity(dict_len as usize);
     for _ in 0..dict_len {
         let source = u32::try_from(r.varint()?).map_err(|_| corrupt("source id overflow"))?;
-        let first_prev = r.varint()?.wrapping_sub(1);
-        dict.push((source, first_prev));
+        let prev = r.varint()?.wrapping_sub(1);
+        dict.push(DictSlot {
+            source,
+            prev,
+            bits: 0,
+        });
     }
-    let n_entries = r.varint()? as usize;
-    if n_entries > raw_len {
+    let n_entries = r.varint()?;
+    if n_entries > max_entries {
         return Err(corrupt("entry count larger than chunk"));
     }
+    sink.begin(raw_len);
 
-    // The exception list sits after the entry bodies, but decoding needs
-    // it during the entry walk; locate it with a cheap pre-scan is not
-    // possible (entries are variable-width), so decode entries first
-    // with predicted back pointers, then patch exceptions into the
-    // reconstruction before CRC stamping. To keep this single-pass, the
-    // entry loop records each data entry's layout and the patch pass
-    // re-encodes only excepted headers.
-    struct Pending {
-        out_pos: usize,
-        entry_idx: u64,
-    }
-    let mut pending: Vec<Pending> = Vec::new();
-
-    out.clear();
-    out.reserve(raw_len);
-    let mut last_addr: Vec<u64> = dict.iter().map(|&(_, p)| p).collect();
-    let mut seen: Vec<bool> = vec![false; dict_len];
-    let mut last_bits: Vec<u64> = vec![0; dict_len];
+    // Entry indices of pads (rarely more than one per chunk): exceptions
+    // may only name data records.
+    let mut pads: Vec<u64> = Vec::new();
+    let mut off = 0usize;
     let mut prev_ts = 0u64;
     let mut prev_delta = 0u64;
-    let mut payload_buf = Vec::new();
     for i in 0..n_entries {
-        let tag = r.varint()? as usize;
+        let tag = r.varint()?;
         let len = u32::try_from(r.varint()?).map_err(|_| corrupt("payload length overflow"))?;
-        if out.len() + RECORD_HEADER_SIZE + len as usize > raw_len {
+        let end = off + RECORD_HEADER_SIZE + len as usize;
+        if end > raw_len {
             return Err(corrupt("entries overrun chunk length"));
         }
         if tag == 0 {
-            let header = RecordHeader {
-                source: SOURCE_PAD,
-                len,
-                prev: NIL_ADDR,
-                ts: 0,
-            };
-            payload_buf.clear();
-            payload_buf.resize(len as usize, 0);
-            out.extend_from_slice(&header.encode(&payload_buf));
-            out.extend_from_slice(&payload_buf);
+            pads.push(i);
+            sink.pad(len);
+            off = end;
             continue;
         }
-        let di = tag - 1;
-        if di >= dict_len {
-            return Err(corrupt("dictionary tag out of range"));
-        }
+        let slot = usize::try_from(tag - 1)
+            .ok()
+            .and_then(|di| dict.get_mut(di))
+            .ok_or_else(|| corrupt("dictionary tag out of range"))?;
         let dod = r.zigzag()? as u64;
-        let delta = prev_delta.wrapping_add(dod);
-        let ts = prev_ts.wrapping_add(delta);
-        prev_ts = ts;
-        prev_delta = delta;
-        payload_buf.clear();
-        if len == 8 {
+        prev_delta = prev_delta.wrapping_add(dod);
+        prev_ts = prev_ts.wrapping_add(prev_delta);
+        let bits;
+        let payload = if len == 8 {
             let k = r.byte()? as usize;
             if k > 8 {
                 return Err(corrupt("xor length out of range"));
             }
             let mut xb = [0u8; 8];
             xb[..k].copy_from_slice(r.take(k)?);
-            let bits = last_bits[di] ^ u64::from_le_bytes(xb);
-            last_bits[di] = bits;
-            payload_buf.extend_from_slice(&bits.to_le_bytes());
+            slot.bits ^= u64::from_le_bytes(xb);
+            bits = slot.bits.to_le_bytes();
+            &bits[..]
         } else {
-            payload_buf.extend_from_slice(r.take(len as usize)?);
-        }
-        let prev = if seen[di] { last_addr[di] } else { dict[di].1 };
-        seen[di] = true;
-        let addr = base_addr + out.len() as u64;
-        last_addr[di] = addr;
-        let header = RecordHeader {
-            source: dict[di].0,
-            len,
-            prev,
-            ts,
+            r.take(len as usize)?
         };
-        pending.push(Pending {
-            out_pos: out.len(),
-            entry_idx: i as u64,
-        });
-        out.extend_from_slice(&header.encode(&payload_buf));
-        out.extend_from_slice(&payload_buf);
+        let prev = slot.prev;
+        slot.prev = base_addr + off as u64;
+        if !sink.record(off, slot.source, prev, prev_ts, payload) {
+            return Ok(());
+        }
+        off = end;
     }
 
-    let n_exceptions = r.varint()? as usize;
+    let n_exceptions = r.varint()?;
     if n_exceptions > n_entries {
         return Err(corrupt("exception count larger than entry count"));
     }
+    let mut next = 0u64;
     for _ in 0..n_exceptions {
         let idx = r.varint()?;
         let prev = r.varint()?.wrapping_sub(1);
-        let p = pending
-            .iter()
-            .find(|p| p.entry_idx == idx)
-            .ok_or_else(|| corrupt("exception for unknown entry"))?;
-        // Re-stamp the header's back pointer and CRC in place.
-        let hdr_start = p.out_pos;
-        let (header, payload_len) = {
-            let buf = &out[hdr_start..hdr_start + RECORD_HEADER_SIZE];
-            let h = RecordHeader::decode(buf)?;
-            (h, h.len as usize)
-        };
-        let patched = RecordHeader { prev, ..header };
-        let payload_start = hdr_start + RECORD_HEADER_SIZE;
-        let payload: Vec<u8> = out[payload_start..payload_start + payload_len].to_vec();
-        let encoded = patched.encode(&payload);
-        out[hdr_start..hdr_start + RECORD_HEADER_SIZE].copy_from_slice(&encoded);
+        if idx < next {
+            return Err(corrupt("exception indices not strictly ascending"));
+        }
+        if idx >= n_entries || pads.binary_search(&idx).is_ok() {
+            return Err(corrupt("exception for unknown entry"));
+        }
+        sink.exception(idx as usize, prev);
+        next = idx + 1;
     }
 
-    if out.len() + tail_zeros != raw_len {
+    if (off as u64).checked_add(tail_zeros) != Some(raw_len as u64) {
         return Err(corrupt("reconstructed chunk length mismatch"));
     }
-    out.resize(raw_len, 0);
     if !r.done() {
         return Err(corrupt("trailing bytes after chunk body"));
     }
+    Ok(())
+}
+
+/// The byte sink: rebuilds the exact chunk bytes. Headers are written
+/// with a zero CRC; exceptions patch back pointers in place through a
+/// forward cursor, and [`stamp_crcs`] re-derives every record CRC once
+/// the walk is complete.
+struct ByteSink<'a> {
+    out: &'a mut Vec<u8>,
+    raw_len: usize,
+    /// Offset of entry `cursor_idx` in `out`.
+    cursor: usize,
+    cursor_idx: usize,
+}
+
+impl ByteSink<'_> {
+    fn push_header(&mut self, source: u32, len: u32, prev: u64, ts: u64) {
+        self.out.extend_from_slice(&source.to_le_bytes());
+        self.out.extend_from_slice(&len.to_le_bytes());
+        self.out.extend_from_slice(&prev.to_le_bytes());
+        self.out.extend_from_slice(&ts.to_le_bytes());
+        self.out.extend_from_slice(&[0; 4]);
+    }
+}
+
+/// Length of the entry whose header starts at `pos` in `entries`.
+fn entry_len_at(entries: &[u8], pos: usize) -> usize {
+    let len = u32::from_le_bytes([
+        entries[pos + 4],
+        entries[pos + 5],
+        entries[pos + 6],
+        entries[pos + 7],
+    ]);
+    RECORD_HEADER_SIZE + len as usize
+}
+
+impl ColumnarSink for ByteSink<'_> {
+    fn begin(&mut self, raw_len: usize) {
+        self.raw_len = raw_len;
+        self.out.clear();
+        self.out.reserve(raw_len);
+    }
+
+    fn pad(&mut self, len: u32) {
+        self.push_header(SOURCE_PAD, len, NIL_ADDR, 0);
+        self.out.resize(self.out.len() + len as usize, 0);
+    }
+
+    fn record(&mut self, _off: usize, source: u32, prev: u64, ts: u64, payload: &[u8]) -> bool {
+        self.push_header(source, payload.len() as u32, prev, ts);
+        self.out.extend_from_slice(payload);
+        true
+    }
+
+    fn exception(&mut self, idx: usize, prev: u64) {
+        while self.cursor_idx < idx {
+            self.cursor += entry_len_at(self.out, self.cursor);
+            self.cursor_idx += 1;
+        }
+        let at = self.cursor + 8;
+        self.out[at..at + 8].copy_from_slice(&prev.to_le_bytes());
+    }
+}
+
+/// Stamps the CRC of every entry in `entries` (a walk's output before the
+/// zeroed tail), exactly as [`RecordHeader::encode`] would.
+fn stamp_crcs(entries: &mut [u8]) {
+    let mut pos = 0;
+    while pos < entries.len() {
+        let end = pos + entry_len_at(entries, pos);
+        let crc = crc32_pair(
+            &entries[pos..pos + RECORD_CRC_OFFSET],
+            &entries[pos + RECORD_HEADER_SIZE..end],
+        );
+        entries[pos + RECORD_CRC_OFFSET..pos + RECORD_HEADER_SIZE]
+            .copy_from_slice(&crc.to_le_bytes());
+        pos = end;
+    }
+}
+
+/// Decodes a [`CODEC_COLUMNAR`] body of at most `max_len` chunk bytes
+/// back into the exact chunk bytes.
+fn decode_columnar(body: &[u8], base_addr: u64, max_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    let mut sink = ByteSink {
+        out,
+        raw_len: 0,
+        cursor: 0,
+        cursor_idx: 0,
+    };
+    walk_columnar(body, base_addr, max_len, &mut sink)?;
+    let raw_len = sink.raw_len;
+    stamp_crcs(out);
+    out.resize(raw_len, 0);
     Ok(())
 }
 
@@ -398,7 +528,7 @@ pub fn compress_chunk(bytes: &[u8], base_addr: u64) -> (u8, Vec<u8>) {
     if let Some(enc) = encode_columnar(bytes, base_addr) {
         if enc.len() < bytes.len() {
             let mut check = Vec::new();
-            if decode_columnar(&enc, base_addr, &mut check).is_ok() && check == bytes {
+            if decode_columnar(&enc, base_addr, bytes.len(), &mut check).is_ok() && check == bytes {
                 return (CODEC_COLUMNAR, enc);
             }
         }
@@ -408,13 +538,25 @@ pub fn compress_chunk(bytes: &[u8], base_addr: u64) -> (u8, Vec<u8>) {
 
 /// Decompresses a cold chunk body back into its exact original bytes.
 pub fn decompress_chunk(codec: u8, body: &[u8], base_addr: u64, out: &mut Vec<u8>) -> Result<()> {
+    decompress_bounded(codec, body, base_addr, MAX_CHUNK_LEN, out)
+}
+
+/// [`decompress_chunk`] of a chunk known to be at most `max_len` bytes
+/// (a frame's recorded length): a body claiming more is corrupt.
+pub(crate) fn decompress_bounded(
+    codec: u8,
+    body: &[u8],
+    base_addr: u64,
+    max_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     match codec {
         CODEC_RAW => {
             out.clear();
             out.extend_from_slice(body);
             Ok(())
         }
-        CODEC_COLUMNAR => decode_columnar(body, base_addr, out),
+        CODEC_COLUMNAR => decode_columnar(body, base_addr, max_len, out),
         other => Err(corrupt(format!("unknown chunk codec {other}"))),
     }
 }
@@ -525,6 +667,85 @@ mod tests {
         decompress_chunk(codec, &body, 0, &mut out).unwrap();
         assert_eq!(out, chunk);
         assert_eq!(codec, CODEC_COLUMNAR);
+    }
+
+    #[test]
+    fn every_record_an_exception_round_trips() {
+        // Recovery republication can leave no record chained to its
+        // same-source predecessor: the exception list then names every
+        // record but the first.
+        let n = 400u64;
+        let mut chunk = Vec::new();
+        for i in 0..n {
+            let prev = 1_000_000 + i * 977;
+            push_record(&mut chunk, 5, &(i * 3).to_le_bytes(), prev, 10 + i);
+        }
+        chunk.resize(16 * 1024, 0);
+        let (codec, body) = compress_chunk(&chunk, 0);
+        assert_eq!(codec, CODEC_COLUMNAR);
+        let mut out = Vec::new();
+        decompress_chunk(codec, &body, 0, &mut out).unwrap();
+        assert_eq!(out, chunk);
+    }
+
+    /// A hand-built body: three opaque 3-byte records of source 5 around
+    /// one pad (entry 1), then `exceptions` as `(entry, prev)` pairs.
+    fn body_with_exceptions(exceptions: &[(u64, u64)]) -> Vec<u8> {
+        let raw_len = 4 * (RECORD_HEADER_SIZE as u64 + 3);
+        let mut b = Vec::new();
+        for v in [raw_len, 0, 1, 5, 0, 4] {
+            put_varint(&mut b, v);
+        }
+        for tag in [1u64, 0, 1, 1] {
+            put_varint(&mut b, tag);
+            put_varint(&mut b, 3);
+            if tag != 0 {
+                put_zigzag(&mut b, 1);
+                b.extend_from_slice(b"abc");
+            }
+        }
+        put_varint(&mut b, exceptions.len() as u64);
+        for &(idx, prev) in exceptions {
+            put_varint(&mut b, idx);
+            put_varint(&mut b, prev.wrapping_add(1));
+        }
+        b
+    }
+
+    #[test]
+    fn exceptions_must_ascend_and_name_data_records() {
+        let mut out = Vec::new();
+        decompress_chunk(
+            CODEC_COLUMNAR,
+            &body_with_exceptions(&[(2, 7), (3, 9)]),
+            0,
+            &mut out,
+        )
+        .unwrap();
+        // `ChunkIter` verifies every re-derived record checksum.
+        let prevs: Vec<u64> = crate::record::ChunkIter::new(&out, 0)
+            .map(|r| r.unwrap().header.prev)
+            .collect();
+        assert_eq!(prevs, vec![NIL_ADDR, 7, 9]);
+        for bad in [
+            &[(3, 7), (2, 9)][..], // descending
+            &[(2, 7), (2, 9)],     // repeated
+            &[(1, 7)],             // names the pad
+            &[(4, 7)],             // past the last entry
+        ] {
+            let err = decompress_chunk(CODEC_COLUMNAR, &body_with_exceptions(bad), 0, &mut out)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    LoomError::CorruptLog {
+                        log: LogId::ColdSegment,
+                        ..
+                    }
+                ),
+                "{bad:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -220,6 +220,21 @@ impl ColdSnap {
         }
     }
 
+    /// Reads the frame of the cold chunk at record-log address `addr`
+    /// into `buf` and verifies it (length bound, frame checksum, chunk
+    /// address) without decompressing it — the column read. `None` when
+    /// the cold tier does not own that address.
+    pub(crate) fn read_frame<'b>(
+        &self,
+        addr: u64,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<Option<segment::ChunkFrame<'b>>> {
+        match self.chunks.get(&addr) {
+            Some(r) => segment::read_frame_at(&r.file, r.offset, addr, buf).map(Some),
+            None => Ok(None),
+        }
+    }
+
     /// Aggregate counters across the snapshot.
     pub fn tier_stats(&self) -> ColdTierStats {
         let mut t = ColdTierStats::default();

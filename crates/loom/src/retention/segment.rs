@@ -14,9 +14,14 @@
 //! chunk_addr u64 | raw_len u32 | raw_crc u32 | codec u8 | compressed bytes
 //! ```
 //!
-//! `raw_crc` is the CRC32 of the *original* chunk bytes; reads verify it
-//! after decompression, so both the stored body and the codec output are
-//! checked on every cold read.
+//! The frame CRC covers every body byte (`chunk_addr`, `raw_len`,
+//! `raw_crc`, codec id, compressed bytes) and is verified on every read.
+//! `raw_crc` is the CRC32 of the *original* chunk bytes: reads that
+//! inflate the chunk back into record bytes ([`read_chunk_frame`]) verify
+//! it after decompression. The column read (`ColdSnap::read_frame`) stops
+//! at the frame CRC — compaction proved the body inflates exactly when it
+//! wrote the frame, so re-checking the decoder against itself adds
+//! nothing.
 
 use std::fs::File;
 use std::io::Write;
@@ -144,7 +149,7 @@ impl SegmentWriter {
     /// appends its frame.
     pub fn append_chunk(&mut self, chunk_addr: u64, raw: &[u8]) -> Result<FrameMeta> {
         let (codec_id, comp) = codec::compress_chunk(raw, chunk_addr);
-        let mut body = Vec::with_capacity(17 + comp.len());
+        let mut body = Vec::with_capacity(FRAME_BODY_HEADER + comp.len());
         body.extend_from_slice(&chunk_addr.to_le_bytes());
         body.extend_from_slice(&(raw.len() as u32).to_le_bytes());
         body.extend_from_slice(&crc32(raw).to_le_bytes());
@@ -187,6 +192,115 @@ impl SegmentWriter {
     }
 }
 
+/// Bytes of a chunk frame body ahead of the codec payload: chunk
+/// address, raw length, raw CRC, codec id.
+const FRAME_BODY_HEADER: usize = 17;
+
+/// One chunk frame whose frame checksum has been verified.
+#[derive(Clone, Copy)]
+pub(crate) struct ChunkFrame<'a> {
+    /// Byte offset of the frame inside its segment file.
+    pub offset: u64,
+    /// Record-log address of the chunk.
+    pub chunk_addr: u64,
+    /// Length of the original chunk.
+    pub raw_len: u32,
+    /// CRC32 of the original chunk bytes.
+    pub raw_crc: u32,
+    /// Codec the body was written with.
+    pub codec: u8,
+    /// The codec payload.
+    pub body: &'a [u8],
+}
+
+impl<'a> ChunkFrame<'a> {
+    /// Splits a checksum-verified frame body into its fields.
+    fn parse(body: &'a [u8], offset: u64) -> Result<ChunkFrame<'a>> {
+        if body.len() < FRAME_BODY_HEADER {
+            return Err(corrupt_at(offset, "frame body shorter than its header"));
+        }
+        let le32 =
+            |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
+        Ok(ChunkFrame {
+            offset,
+            chunk_addr: u64::from(le32(0)) | u64::from(le32(4)) << 32,
+            raw_len: le32(8),
+            raw_crc: le32(12),
+            codec: body[16],
+            body: &body[FRAME_BODY_HEADER..],
+        })
+    }
+
+    /// Decompresses the exact original chunk bytes into `out` and checks
+    /// them against the frame's `raw_len` and `raw_crc`.
+    pub fn inflate(&self, out: &mut Vec<u8>) -> Result<()> {
+        let max_len = (self.raw_len as usize).min(codec::MAX_CHUNK_LEN);
+        codec::decompress_bounded(self.codec, self.body, self.chunk_addr, max_len, out)?;
+        if out.len() != self.raw_len as usize {
+            return Err(corrupt_at(
+                self.offset,
+                format!(
+                    "decompressed {} bytes, frame says {}",
+                    out.len(),
+                    self.raw_len
+                ),
+            ));
+        }
+        if crc32(out) != self.raw_crc {
+            return Err(corrupt_at(
+                self.offset,
+                "decompressed chunk checksum mismatch",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Reads the chunk frame at `offset` into `buf` (grown, never shrunk, so
+/// a reused buffer costs no allocation) and verifies the frame length
+/// bound, the frame checksum, and that it holds chunk `expect_addr`.
+pub(crate) fn read_frame_at<'b>(
+    file: &File,
+    offset: u64,
+    expect_addr: u64,
+    buf: &'b mut Vec<u8>,
+) -> Result<ChunkFrame<'b>> {
+    let overrun = |e: std::io::Error| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            corrupt_at(offset, "frame overruns segment file")
+        } else {
+            LoomError::Io(e)
+        }
+    };
+    let mut head = [0u8; FRAME_HEADER_SIZE];
+    file.read_exact_at(&mut head, offset).map_err(overrun)?;
+    let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    let stored_crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+    if body_len < FRAME_BODY_HEADER || body_len as u64 > crate::durability::MAX_FRAME_LEN {
+        return Err(corrupt_at(offset, format!("bad frame length {body_len}")));
+    }
+    if buf.len() < body_len {
+        buf.resize(body_len, 0);
+    }
+    let body = &mut buf[..body_len];
+    file.read_exact_at(body, offset + FRAME_HEADER_SIZE as u64)
+        .map_err(overrun)?;
+    if crc32(body) != stored_crc {
+        return Err(corrupt_at(offset, "frame checksum mismatch"));
+    }
+    let frame = ChunkFrame::parse(body, offset)?;
+    if frame.chunk_addr != expect_addr {
+        return Err(corrupt_at(
+            offset,
+            format!(
+                "frame holds chunk {}, expected {expect_addr}",
+                frame.chunk_addr
+            ),
+        ));
+    }
+    Ok(frame)
+}
+
 /// Reads and verifies the chunk frame at `offset`, decompressing the
 /// exact original chunk bytes into `out`. `expect_addr` cross-checks the
 /// frame against the caller's map.
@@ -196,41 +310,8 @@ pub fn read_chunk_frame(
     expect_addr: u64,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let mut head = [0u8; FRAME_HEADER_SIZE];
-    file.read_exact_at(&mut head, offset)?;
-    let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    let stored_crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if body_len < 17 || body_len as u64 > crate::durability::MAX_FRAME_LEN {
-        return Err(corrupt_at(offset, format!("bad frame length {body_len}")));
-    }
-    let mut body = vec![0u8; body_len];
-    file.read_exact_at(&mut body, offset + FRAME_HEADER_SIZE as u64)?;
-    if crc32(&body) != stored_crc {
-        return Err(corrupt_at(offset, "frame checksum mismatch"));
-    }
-    let chunk_addr = u64::from_le_bytes([
-        body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-    ]);
-    if chunk_addr != expect_addr {
-        return Err(corrupt_at(
-            offset,
-            format!("frame holds chunk {chunk_addr}, expected {expect_addr}"),
-        ));
-    }
-    let raw_len = u32::from_le_bytes([body[8], body[9], body[10], body[11]]) as usize;
-    let raw_crc = u32::from_le_bytes([body[12], body[13], body[14], body[15]]);
-    let codec_id = body[16];
-    codec::decompress_chunk(codec_id, &body[17..], chunk_addr, out)?;
-    if out.len() != raw_len {
-        return Err(corrupt_at(
-            offset,
-            format!("decompressed {} bytes, frame says {raw_len}", out.len()),
-        ));
-    }
-    if crc32(out) != raw_crc {
-        return Err(corrupt_at(offset, "decompressed chunk checksum mismatch"));
-    }
-    Ok(())
+    let mut buf = Vec::new();
+    read_frame_at(file, offset, expect_addr, &mut buf)?.inflate(out)
 }
 
 /// Verifies a segment file's header and, when `deep`, every frame —
@@ -273,26 +354,16 @@ pub fn validate_segment(path: &Path, slice: u64, deep: bool) -> Result<Vec<u64>>
     let mut pos = SEGMENT_HEADER_SIZE;
     let mut scratch = Vec::new();
     while let Some((body, next)) = read_frame(&bytes, pos, LogId::ColdSegment)? {
-        if body.len() < 17 {
-            return Err(corrupt_at(pos as u64, "frame body shorter than its header"));
-        }
-        let chunk_addr = u64::from_le_bytes([
-            body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-        ]);
+        let frame = ChunkFrame::parse(body, pos as u64)?;
         if let Some(&last) = addrs.last() {
-            if chunk_addr <= last {
+            if frame.chunk_addr <= last {
                 return Err(corrupt_at(pos as u64, "chunk frames out of order"));
             }
         }
         if deep {
-            let raw_len = u32::from_le_bytes([body[8], body[9], body[10], body[11]]) as usize;
-            let raw_crc = u32::from_le_bytes([body[12], body[13], body[14], body[15]]);
-            codec::decompress_chunk(body[16], &body[17..], chunk_addr, &mut scratch)?;
-            if scratch.len() != raw_len || crc32(&scratch) != raw_crc {
-                return Err(corrupt_at(pos as u64, "frame fails deep verification"));
-            }
+            frame.inflate(&mut scratch)?;
         }
-        addrs.push(chunk_addr);
+        addrs.push(frame.chunk_addr);
         pos = next;
     }
     if pos != bytes.len() {

@@ -296,8 +296,12 @@ fn slice_super_summaries_prune_cold_ranges_without_per_chunk_metadata() {
             .unwrap();
         assert_eq!(got_a, got_t);
         // Skipped slices are accounted as their chunk count, so the
-        // visited-summary numbers match the twin's per-summary walk.
+        // visited-summary numbers match the twin's per-summary walk; a
+        // cold piece counts the chunks, records and bytes a hot one does.
         assert_eq!(stats_a.summaries_scanned, stats_t.summaries_scanned);
+        assert_eq!(stats_a.chunks_scanned, stats_t.chunks_scanned);
+        assert_eq!(stats_a.records_scanned, stats_t.records_scanned);
+        assert_eq!(stats_a.bytes_read, stats_t.bytes_read);
         let agg_a = aged
             .query(s_a)
             .index(idx_a)
@@ -314,6 +318,137 @@ fn slice_super_summaries_prune_cold_ranges_without_per_chunk_metadata() {
             .unwrap();
         assert_eq!(agg_a.count, agg_t.count);
         assert_eq!(agg_a.value.map(f64::to_bits), agg_t.value.map(f64::to_bits));
+    }
+}
+
+/// The value of one counter in the engine's metrics snapshot.
+fn counter(loom: &Loom, name: &str) -> u64 {
+    loom.metrics_snapshot()
+        .named_values()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
+        .unwrap()
+}
+
+/// Indexed scans, aggregates and bin counts decode cold chunks straight
+/// from their frames into columns; only the raw scan inflates a cold
+/// chunk back into record bytes.
+#[test]
+fn only_raw_scans_inflate_cold_chunks_to_record_bytes() {
+    let env = Env::new("byte-decodes");
+    let (loom, mut w) = env.open(1, manual_aging(), 1_000);
+    let s = loom.define_source("app");
+    let idx = loom
+        .define_index_desc(s, loom::ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    push_series(&loom, &mut w, s, 6_000, 10);
+    w.sync_durable().unwrap();
+    assert!(loom.compact().unwrap().chunks_aged > 0);
+
+    for r in [TimeRange::new(0, loom.now()), TimeRange::new(5_000, 30_000)] {
+        answers(&loom, s, idx, r);
+    }
+    // The counters are self-obs no-ops when the feature is compiled out.
+    if !cfg!(feature = "self-obs") {
+        return;
+    }
+    assert!(counter(&loom, "loom_tier_cold_chunk_reads_total") > 0);
+    assert_eq!(counter(&loom, "loom_tier_cold_byte_decodes_total"), 0);
+    scan_all(&loom, s);
+    assert!(counter(&loom, "loom_tier_cold_byte_decodes_total") > 0);
+}
+
+/// Flipping any byte of a cold frame — its length, checksum, chunk
+/// address, `raw_len`, `raw_crc`, codec id, or body — makes every query
+/// that reads the chunk fail with a typed cold-segment corruption:
+/// indexed scan, aggregates and bin counts through the column read, the
+/// raw scan through the byte path. None answers differently instead.
+#[test]
+fn flipped_cold_frame_bytes_fail_every_query_path() {
+    use loom::durability::LogId;
+    use std::os::unix::fs::FileExt;
+
+    let env = Env::new("flip");
+    let chunk_size = env.config(1, manual_aging()).chunk_size as u64;
+    let (loom, mut w) = env.open(1, manual_aging(), 1_000);
+    let s = loom.define_source("app");
+    let idx = loom
+        .define_index_desc(s, loom::ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    push_series(&loom, &mut w, s, 6_000, 10);
+    w.sync_durable().unwrap();
+    assert!(loom.compact().unwrap().chunks_aged > 2);
+
+    // The second frame of the first segment: header, then
+    // `[len u32][crc u32][chunk_addr u64 | raw_len u32 | raw_crc u32 | codec u8 | body]`.
+    let slice = std::fs::read_dir(env.dir.join("cold"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let path = std::fs::read_dir(&slice)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .min()
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let le32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as u64;
+    let first = 24u64;
+    let frame = first + 8 + le32(first as usize);
+    let body_len = le32(frame as usize);
+    let chunk_addr = le32(frame as usize + 8) | le32(frame as usize + 12) << 32;
+    assert_eq!(bytes[frame as usize + 24], 1, "the frame is columnar");
+
+    // A range strictly inside the chunk, so every operator must decode it.
+    let mut in_chunk = Vec::new();
+    loom.raw_scan(s, TimeRange::new(0, u64::MAX), |r| {
+        if (chunk_addr..chunk_addr + chunk_size).contains(&r.addr) {
+            in_chunk.push(r.ts);
+        }
+    })
+    .unwrap();
+    in_chunk.sort_unstable();
+    let range = TimeRange::new(in_chunk[1], in_chunk[in_chunk.len() - 2]);
+    let before = answers(&loom, s, idx, range);
+
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    let body = frame + 8;
+    let offsets = [
+        ("frame length, low byte", frame),
+        ("frame length, high byte", frame + 3),
+        ("frame checksum", frame + 4),
+        ("chunk address", body),
+        ("raw_len", body + 8),
+        ("raw_crc", body + 12),
+        ("codec id", body + 16),
+        ("body start", body + 17),
+        ("body middle", body + (17 + body_len) / 2),
+        ("body end", body + body_len - 1),
+    ];
+    for (what, at) in offsets {
+        let orig = bytes[at as usize];
+        file.write_all_at(&[orig ^ 0x01], at).unwrap();
+        let expect_corrupt = |op: &str, res: Result<(), loom::LoomError>| match res {
+            Err(loom::LoomError::CorruptLog {
+                log: LogId::ColdSegment,
+                ..
+            }) => {}
+            other => panic!("{what}: {op} returned {other:?}"),
+        };
+        let q = || loom.query(s).index(idx).range(range);
+        expect_corrupt("scan", q().scan(|_| {}).map(drop));
+        expect_corrupt("sum", q().aggregate(Aggregate::Sum).map(drop));
+        expect_corrupt("p95", q().aggregate(Aggregate::Percentile(95.0)).map(drop));
+        expect_corrupt("bin_counts", q().bin_counts().map(drop));
+        expect_corrupt("raw scan", loom.raw_scan(s, range, |_| {}).map(drop));
+        file.write_all_at(&[orig], at).unwrap();
+        assert_eq!(answers(&loom, s, idx, range), before, "{what}: restored");
     }
 }
 
