@@ -33,6 +33,7 @@ use std::path::Path;
 use crate::chunk_index::{MirrorSnapshot, SummaryCursor, SummaryMirror};
 use crate::config::Config;
 use crate::durability::format::{read_frame, LogId};
+use crate::durability::shutdown::SourceTail;
 use crate::error::{LoomError, Result};
 use crate::record::{RecordHeader, NIL_ADDR, RECORD_HEADER_SIZE};
 use crate::retention::ColdSnap;
@@ -89,7 +90,7 @@ impl RecoveryReport {
 }
 
 /// Per-source writer state reconstructed from the logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceState {
     /// Address of the source's last surviving record, or [`NIL_ADDR`].
     pub prev: u64,
@@ -98,6 +99,30 @@ pub struct SourceState {
     /// Timestamp-log address of the source's last surviving record mark,
     /// or [`NIL_ADDR`].
     pub last_mark: u64,
+}
+
+/// A source with no record and no mark yet. Both pointers are
+/// [`NIL_ADDR`], never 0: address 0 is the first record (or mark) of
+/// its log.
+impl Default for SourceState {
+    fn default() -> Self {
+        SourceState {
+            prev: NIL_ADDR,
+            count: 0,
+            last_mark: NIL_ADDR,
+        }
+    }
+}
+
+/// The chain state a clean shutdown recorded for one source.
+impl From<&SourceTail> for SourceState {
+    fn from(t: &SourceTail) -> Self {
+        SourceState {
+            prev: t.prev,
+            count: t.count,
+            last_mark: t.last_mark,
+        }
+    }
 }
 
 /// A surviving summary whose chunk-seal timestamp entry was lost.
@@ -296,11 +321,7 @@ fn scan_record_log(
             }
             if !header.is_pad() {
                 state.report.records_scanned += 1;
-                let s = state.sources.entry(header.source).or_insert(SourceState {
-                    prev: NIL_ADDR,
-                    count: 0,
-                    last_mark: NIL_ADDR,
-                });
+                let s = state.sources.entry(header.source).or_default();
                 s.prev = addr;
                 s.count += 1;
             }
@@ -432,15 +453,7 @@ fn scan_ts_log(
                     ));
                     break;
                 }
-                state
-                    .sources
-                    .entry(entry.source)
-                    .or_insert(SourceState {
-                        prev: NIL_ADDR,
-                        count: 0,
-                        last_mark: NIL_ADDR,
-                    })
-                    .last_mark = addr;
+                state.sources.entry(entry.source).or_default().last_mark = addr;
             }
             TsKind::ChunkSeal => {
                 if !summary_addrs.contains(&entry.target) {

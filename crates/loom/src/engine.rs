@@ -86,6 +86,21 @@ fn shard_config(root: &Config, i: usize) -> Config {
     c
 }
 
+/// Refuses a directory that holds log files but no superblock: it
+/// predates the durable format or lost its superblock, and initializing
+/// it would destroy its data.
+fn refuse_reinitialize(dir: &std::path::Path) -> Result<()> {
+    for log in [LogId::Records, LogId::Chunks, LogId::Ts, LogId::Manifest] {
+        if dir.join(log.file_name()).exists() {
+            return Err(LoomError::Corrupt(format!(
+                "{} exists but {SUPERBLOCK_FILE} does not; refusing to reinitialize",
+                log.file_name()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Severity rank for worst-of-shards health merging.
 fn health_severity(h: &EngineHealth) -> u8 {
     match h {
@@ -503,19 +518,14 @@ pub struct LoomWriter {
 /// and all writer-private state.
 struct ShardWriter {
     inner: Arc<Inner>,
-    record: hybridlog::Writer,
-    chunk: hybridlog::Writer,
-    ts: hybridlog::Writer,
-    /// Writer-private per-source state.
-    sources: HashMap<u32, SourceWriterState>,
-    /// Cached schema, refreshed when the registry version changes.
-    cache: WriterCache,
-    /// Active-chunk accumulation state.
-    active: ActiveChunk,
-    /// Address of the last chunk-seal entry in the timestamp index.
-    last_seal: u64,
-    /// Reusable zero buffer for chunk padding.
-    zeros: Vec<u8>,
+    /// The logs and the active-chunk accumulator: everything a seal
+    /// touches.
+    logs: ShardLogs,
+    /// One slot per registry source, keyed by source ID.
+    slots: HashMap<u32, SourceSlot>,
+    /// The registry version the slots reflect (`u64::MAX` until the
+    /// first refresh).
+    version: u64,
     /// Set once a clean-shutdown marker has been written.
     closed: bool,
     /// Set by [`LoomWriter::simulate_crash`]; suppresses the clean
@@ -523,36 +533,51 @@ struct ShardWriter {
     crashed: bool,
 }
 
-/// Writer-private state for one source.
-struct SourceWriterState {
-    /// Address of the source's most recent record, or `NIL_ADDR`.
-    prev: u64,
-    /// Records pushed so far.
-    count: u64,
-    /// Address of the source's most recent record mark, or `NIL_ADDR`.
-    last_mark: u64,
+/// A shard's three log writers plus the rest of what a chunk seal
+/// touches. Kept apart from the source slots, so a push holds its slot
+/// across a seal.
+struct ShardLogs {
+    record: hybridlog::Writer,
+    chunk: hybridlog::Writer,
+    ts: hybridlog::Writer,
+    /// Active-chunk accumulation state.
+    active: ActiveChunk,
+    /// Address of the last chunk-seal entry in the timestamp index.
+    last_seal: u64,
+    /// Reusable zero buffer for chunk padding.
+    zeros: Vec<u8>,
+}
+
+/// The writer's state for one source: its record chain, the read
+/// pointers it publishes, and its cached schema.
+struct SourceSlot {
+    /// Last record, record count, and last record mark.
+    chain: SourceState,
     /// Shared state published to readers.
     shared: Arc<SourceShared>,
-}
-
-/// Cached schema for the ingest hot path.
-struct WriterCache {
-    version: u64,
-    sources: HashMap<u32, CachedSource>,
-}
-
-struct CachedSource {
     closed: bool,
+    /// The source's open indexes.
     indexes: Vec<CachedIndex>,
 }
 
-/// A cached index definition plus the dense per-bin accumulation for the
-/// active chunk. Dense vectors avoid map operations per record.
+impl SourceSlot {
+    fn new(shared: Arc<SourceShared>, chain: SourceState) -> Self {
+        SourceSlot {
+            chain,
+            shared,
+            closed: false,
+            indexes: Vec::new(),
+        }
+    }
+}
+
+/// A cached open index: its extractor and histogram, and where its bins
+/// sit in the active-chunk accumulator.
 struct CachedIndex {
-    id: u32,
     extractor: ValueFn,
     spec: Arc<HistogramSpec>,
-    bins: Vec<Option<BinStats>>,
+    /// Position of the index's bins in [`ActiveChunk::indexes`].
+    acc: usize,
 }
 
 /// Accumulation state for the active chunk.
@@ -562,6 +587,9 @@ struct ActiveChunk {
     /// Per-source record counts; sources per chunk are few, so a vector
     /// with linear search beats a map here.
     sources: Vec<(u32, u64)>,
+    /// Per-bin statistics of every open index, as `(index ID, bins)`.
+    /// Dense vectors avoid map operations per record.
+    indexes: Vec<(u32, Vec<Option<BinStats>>)>,
 }
 
 impl ActiveChunk {
@@ -570,15 +598,28 @@ impl ActiveChunk {
             ts_min: u64::MAX,
             ts_max: 0,
             sources: Vec::new(),
+            indexes: Vec::new(),
         }
     }
 
-    fn observe(&mut self, source: u32, ts: u64) {
+    /// Accounts one record of `source`: the time bounds, the source's
+    /// count, and the bin of each of `indexes` its payload lands in.
+    fn observe(&mut self, source: u32, ts: u64, payload: &[u8], indexes: &[CachedIndex]) {
         self.ts_min = self.ts_min.min(ts);
         self.ts_max = self.ts_max.max(ts);
         match self.sources.iter_mut().find(|(s, _)| *s == source) {
             Some((_, c)) => *c += 1,
             None => self.sources.push((source, 1)),
+        }
+        for idx in indexes {
+            if let Some(value) = (idx.extractor)(payload) {
+                if let Some(bin) = idx.spec.bin_of(value) {
+                    match &mut self.indexes[idx.acc].1[bin] {
+                        Some(s) => s.observe(value, ts),
+                        slot @ None => *slot = Some(BinStats::of(value, ts)),
+                    }
+                }
+            }
         }
     }
 
@@ -586,10 +627,24 @@ impl ActiveChunk {
         self.sources.is_empty()
     }
 
-    fn reset(&mut self) {
-        self.ts_min = u64::MAX;
-        self.ts_max = 0;
-        self.sources.clear();
+    /// Drains the accumulator into the summary of the chunk at
+    /// `chunk_addr`, leaving it empty for the next chunk.
+    fn take_summary(&mut self, chunk_addr: u64, chunk_size: u64) -> ChunkSummary {
+        let mut summary = ChunkSummary::new(chunk_addr / chunk_size, chunk_addr, chunk_size as u32);
+        summary.ts_min = std::mem::replace(&mut self.ts_min, u64::MAX);
+        summary.ts_max = std::mem::take(&mut self.ts_max);
+        summary.sources.extend(self.sources.drain(..));
+        for (id, bins) in &mut self.indexes {
+            let bins: std::collections::BTreeMap<u32, BinStats> = bins
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(bin, stats)| Some((bin as u32, stats.take()?)))
+                .collect();
+            if !bins.is_empty() {
+                summary.indexes.insert(*id, bins);
+            }
+        }
+        summary
     }
 }
 
@@ -748,17 +803,9 @@ impl Loom {
             // different shard count would misplace every source.
             Superblock::read_from(&config.dir)?.check_config(config)?;
         } else {
-            // Refuse directories with flat log files or shard data but no
-            // root superblock: they predate the durable format or lost
-            // their superblock, and reinitializing would destroy data.
-            for log in [LogId::Records, LogId::Chunks, LogId::Ts, LogId::Manifest] {
-                if config.dir.join(log.file_name()).exists() {
-                    return Err(LoomError::Corrupt(format!(
-                        "{} exists but {SUPERBLOCK_FILE} does not; refusing to reinitialize",
-                        log.file_name()
-                    )));
-                }
-            }
+            // Shard data without a root superblock is refused like flat
+            // log files are.
+            refuse_reinitialize(&config.dir)?;
             if config
                 .dir
                 .join(shard_dir_name(0))
@@ -797,54 +844,87 @@ impl Loom {
     }
 
     /// Opens one shard (or the whole engine when `shards == 1`):
-    /// dispatches on the shard directory's own superblock.
+    /// dispatches on the shard directory's own superblock. A brand-new
+    /// shard gets its superblock first, then an empty manifest, then the
+    /// three logs.
     fn open_shard(config: Config, shared: &SharedParts) -> Result<OpenedShard> {
         std::fs::create_dir_all(&config.dir)?;
         if config.dir.join(SUPERBLOCK_FILE).exists() {
-            Self::reopen_shard(config, shared)
-        } else {
-            Self::open_fresh_shard(config, shared).map(|(inner, w)| (inner, w, None))
+            return Self::reopen_shard(config, shared);
         }
-    }
-
-    /// Initializes a brand-new shard directory: superblock first, then an
-    /// empty manifest, then the three logs.
-    fn open_fresh_shard(config: Config, shared: &SharedParts) -> Result<(Arc<Inner>, ShardWriter)> {
-        // Refuse directories that have log files but no superblock: they
-        // predate the durable format (or lost their superblock), and
-        // recreating the logs would silently destroy their data.
-        for log in [LogId::Records, LogId::Chunks, LogId::Ts, LogId::Manifest] {
-            if config.dir.join(log.file_name()).exists() {
-                return Err(LoomError::Corrupt(format!(
-                    "{} exists but {SUPERBLOCK_FILE} does not; refusing to reinitialize",
-                    log.file_name()
-                )));
-            }
-        }
+        refuse_reinitialize(&config.dir)?;
         Superblock::of(&config).write_to(&config.dir)?;
         let manifest = Manifest::create(&config.dir)?;
+        Self::assemble_shard(config, shared, manifest, ColdSnap::default(), None)
+    }
+
+    /// Builds a shard's logs, [`Inner`] and [`ShardWriter`] around its
+    /// manifest and cold tier. `recovered` is `None` for a fresh shard:
+    /// its logs are created empty and it reports no recovery. A reopened
+    /// shard resumes each log at its recovered tail, seeds the source
+    /// slots from the recovered chains, and applies the repairs a dirty
+    /// scan scheduled.
+    fn assemble_shard(
+        config: Config,
+        shared: &SharedParts,
+        manifest: Manifest,
+        cold: ColdSnap,
+        recovered: Option<RecoveredState>,
+    ) -> Result<OpenedShard> {
+        let fresh = recovered.is_none();
+        let mut recovered = recovered.unwrap_or(RecoveredState {
+            last_seal: NIL_ADDR,
+            ..RecoveredState::default()
+        });
         let obs = Obs::with_slow_log(config.slow_query_nanos, Arc::clone(&shared.slow));
         let health = Arc::new(HealthState::new());
         // All three logs report into one shared hybridlog metrics block
         // and degrade through one shared health cell.
-        let opts = |block_size: usize| LogOptions {
-            block_size,
-            obs: Arc::clone(&obs.log),
-            retry: config.io_retry,
-            health: Arc::clone(&health),
+        let log = |id: LogId, block_size: usize, tail: u64| {
+            let path = config.dir.join(id.file_name());
+            let opts = LogOptions {
+                block_size,
+                obs: Arc::clone(&obs.log),
+                retry: config.io_retry,
+                health: Arc::clone(&health),
+            };
+            if fresh {
+                hybridlog::create_with(&path, opts)
+            } else {
+                hybridlog::open_existing_with(&path, opts, tail)
+            }
         };
-        let record = hybridlog::create_with(
-            &config.dir.join(LogId::Records.file_name()),
-            opts(config.block_size),
-        )?;
-        let chunk = hybridlog::create_with(
-            &config.dir.join(LogId::Chunks.file_name()),
-            opts(config.index_block_size),
-        )?;
-        let ts = hybridlog::create_with(
-            &config.dir.join(LogId::Ts.file_name()),
-            opts(config.ts_block_size),
-        )?;
+        let record = log(LogId::Records, config.block_size, recovered.record_tail)?;
+        let chunk = log(LogId::Chunks, config.index_block_size, recovered.chunk_tail)?;
+        let ts = log(LogId::Ts, config.ts_block_size, recovered.ts_tail)?;
+
+        // The summaries the reopen just verified seed the mirror.
+        let summaries = SummaryMirror::from(std::mem::take(&mut recovered.summaries));
+        obs.index.summary_mirror_bytes(summaries.bytes() as u64);
+
+        // Republish the recovered per-source read pointers and seed the
+        // slots' chains. Only sources homed in this shard appear in its
+        // logs, so sibling shards never contend on the same source entry.
+        let mut slots = HashMap::new();
+        {
+            let registry = shared.registry.read();
+            for (id, chain) in &recovered.sources {
+                let Ok(entry) = registry.source(SourceId(*id)) else {
+                    // A source the manifest does not know (its definition
+                    // was lost with an unflushed manifest tail): its
+                    // records stay scannable but the source is no longer
+                    // addressable.
+                    continue;
+                };
+                entry
+                    .shared
+                    .last_record
+                    .store(chain.prev, Ordering::Release);
+                entry.shared.records.store(chain.count, Ordering::Release);
+                slots.insert(*id, SourceSlot::new(Arc::clone(&entry.shared), *chain));
+            }
+        }
+
         let inner = Arc::new(Inner {
             config,
             clock: shared.clock.clone(),
@@ -853,25 +933,46 @@ impl Loom {
             record_log: Arc::clone(record.shared()),
             chunk_log: Arc::clone(chunk.shared()),
             ts_log: Arc::clone(ts.shared()),
-            summaries: SummaryMirror::default(),
+            summaries,
             stats: Arc::clone(&shared.stats),
             obs,
             manifest: Mutex::named("loom.manifest", manifest),
             health,
             scan_bufs: Default::default(),
-            cold: RwLock::named("loom.cold", Arc::new(ColdSnap::default())),
+            cold: RwLock::named("loom.cold", Arc::new(cold)),
             tier_lock: RwLock::named("loom.tier_lock", ()),
             compact_gate: Mutex::named("loom.compact_gate", ()),
         });
-        let writer = ShardWriter::new(
-            Arc::clone(&inner),
-            record,
-            chunk,
-            ts,
-            HashMap::new(),
-            NIL_ADDR,
+        let mut writer = ShardWriter {
+            inner: Arc::clone(&inner),
+            logs: ShardLogs {
+                record,
+                chunk,
+                ts,
+                active: ActiveChunk::new(),
+                last_seal: recovered.last_seal,
+                zeros: Vec::new(),
+            },
+            slots,
+            version: u64::MAX,
+            closed: false,
+            crashed: false,
+        };
+        if fresh {
+            return Ok((inner, writer, None));
+        }
+        let mut report = recovered.report.clone();
+        if !report.clean {
+            let (rebuilt, appended) = writer.apply_recovery(&recovered)?;
+            report.summaries_rebuilt = rebuilt;
+            report.seals_appended = appended;
+        }
+        inner.obs.engine.reopened(
+            report.clean,
+            report.duration_nanos,
+            report.bytes_truncated(),
         );
-        Ok((inner, writer))
+        Ok((inner, writer, Some(report)))
     }
 
     /// Reopens an existing shard directory: validates the superblock
@@ -879,10 +980,7 @@ impl Loom {
     /// shared registry, then either takes the clean-shutdown fast path or
     /// runs a full recovery scan with torn-tail truncation and cross-log
     /// reconciliation.
-    fn reopen_shard(
-        config: Config,
-        shared: &SharedParts,
-    ) -> Result<(Arc<Inner>, ShardWriter, Option<RecoveryReport>)> {
+    fn reopen_shard(config: Config, shared: &SharedParts) -> Result<OpenedShard> {
         Superblock::read_from(&config.dir)?.check_config(&config)?;
         let mut manifest = Manifest::open(&config.dir)?;
 
@@ -958,7 +1056,7 @@ impl Loom {
         if demotable && clean.is_none() {
             cold_snap = retention::open_cold_tier(&config.dir, manifest.records(), true)?;
         }
-        let mut recovered = match clean {
+        let recovered = match clean {
             Some((s, summaries)) => {
                 let mut st = RecoveredState {
                     record_tail: s.record_tail,
@@ -969,16 +1067,8 @@ impl Loom {
                     ..RecoveredState::default()
                 };
                 st.report.clean = true;
-                for t in &s.sources {
-                    st.sources.insert(
-                        t.id,
-                        SourceState {
-                            prev: t.prev,
-                            count: t.count,
-                            last_mark: t.last_mark,
-                        },
-                    );
-                }
+                st.sources
+                    .extend(s.sources.iter().map(|t| (t.id, SourceState::from(t))));
                 st
             }
             None => crate::durability::recover_dirty_with_cold(&config.dir, &config, &cold_snap)?,
@@ -1007,101 +1097,7 @@ impl Loom {
         // on, the next open must scan.
         manifest.append(ManifestRecord::Reopened)?;
 
-        let obs = Obs::with_slow_log(config.slow_query_nanos, Arc::clone(&shared.slow));
-        let health = Arc::new(HealthState::new());
-        let opts = |block_size: usize| LogOptions {
-            block_size,
-            obs: Arc::clone(&obs.log),
-            retry: config.io_retry,
-            health: Arc::clone(&health),
-        };
-        let record = hybridlog::open_existing_with(
-            &config.dir.join(LogId::Records.file_name()),
-            opts(config.block_size),
-            recovered.record_tail,
-        )?;
-        let chunk = hybridlog::open_existing_with(
-            &config.dir.join(LogId::Chunks.file_name()),
-            opts(config.index_block_size),
-            recovered.chunk_tail,
-        )?;
-        let ts = hybridlog::open_existing_with(
-            &config.dir.join(LogId::Ts.file_name()),
-            opts(config.ts_block_size),
-            recovered.ts_tail,
-        )?;
-
-        // The summaries the reopen just verified seed the mirror.
-        let summaries = SummaryMirror::from(std::mem::take(&mut recovered.summaries));
-        obs.index.summary_mirror_bytes(summaries.bytes() as u64);
-
-        // Republish the recovered per-source read pointers and seed the
-        // writer-private source state. Only sources homed in this shard
-        // appear in its logs, so sibling shards never contend on the same
-        // source entry.
-        let mut writer_sources = HashMap::new();
-        {
-            let registry = shared.registry.read();
-            for (id, s) in &recovered.sources {
-                let Ok(entry) = registry.source(SourceId(*id)) else {
-                    // A source the manifest does not know (its definition
-                    // was lost with an unflushed manifest tail): its
-                    // records stay scannable but the source is no longer
-                    // addressable.
-                    continue;
-                };
-                entry.shared.last_record.store(s.prev, Ordering::Release);
-                entry.shared.records.store(s.count, Ordering::Release);
-                writer_sources.insert(
-                    *id,
-                    SourceWriterState {
-                        prev: s.prev,
-                        count: s.count,
-                        last_mark: s.last_mark,
-                        shared: Arc::clone(&entry.shared),
-                    },
-                );
-            }
-        }
-
-        let inner = Arc::new(Inner {
-            config,
-            clock: shared.clock.clone(),
-            registry: Arc::clone(&shared.registry),
-            registry_version: Arc::clone(&shared.registry_version),
-            record_log: Arc::clone(record.shared()),
-            chunk_log: Arc::clone(chunk.shared()),
-            ts_log: Arc::clone(ts.shared()),
-            summaries,
-            stats: Arc::clone(&shared.stats),
-            obs,
-            manifest: Mutex::named("loom.manifest", manifest),
-            health,
-            scan_bufs: Default::default(),
-            cold: RwLock::named("loom.cold", Arc::new(cold_snap)),
-            tier_lock: RwLock::named("loom.tier_lock", ()),
-            compact_gate: Mutex::named("loom.compact_gate", ()),
-        });
-        let mut writer = ShardWriter::new(
-            Arc::clone(&inner),
-            record,
-            chunk,
-            ts,
-            writer_sources,
-            recovered.last_seal,
-        );
-        let mut report = recovered.report.clone();
-        if !report.clean {
-            let (rebuilt, appended) = writer.apply_recovery(&recovered)?;
-            report.summaries_rebuilt = rebuilt;
-            report.seals_appended = appended;
-        }
-        inner.obs.engine.reopened(
-            report.clean,
-            report.duration_nanos,
-            report.bytes_truncated(),
-        );
-        Ok((inner, writer, Some(report)))
+        Self::assemble_shard(config, shared, manifest, cold_snap, Some(recovered))
     }
 
     /// The shard that owns `source`'s data, resolved by the stable
@@ -1533,7 +1529,7 @@ impl LoomWriter {
     /// [`LoomError::Degraded`] when a shard is read-only, and
     /// [`LoomError::Io`] when a flush fails.
     pub fn sync(&mut self) -> Result<()> {
-        self.each_shard(ShardWriter::sync)
+        self.each_shard(|s| s.sync(false))
     }
 
     /// [`LoomWriter::sync`] plus an fdatasync of each log that changed,
@@ -1548,7 +1544,7 @@ impl LoomWriter {
     /// As [`LoomWriter::sync`]: [`LoomError::Degraded`] or
     /// [`LoomError::Io`] (including fdatasync failures).
     pub fn sync_durable(&mut self) -> Result<()> {
-        self.each_shard(ShardWriter::sync_durable)
+        self.each_shard(|s| s.sync(true))
     }
 
     /// Pads and seals the active chunk of every shard even if it is not
@@ -1604,40 +1600,13 @@ impl LoomWriter {
 }
 
 impl ShardWriter {
-    /// Assembles a shard writer around freshly opened hybrid-log writers.
-    fn new(
-        inner: Arc<Inner>,
-        record: hybridlog::Writer,
-        chunk: hybridlog::Writer,
-        ts: hybridlog::Writer,
-        sources: HashMap<u32, SourceWriterState>,
-        last_seal: u64,
-    ) -> ShardWriter {
-        ShardWriter {
-            inner,
-            record,
-            chunk,
-            ts,
-            sources,
-            cache: WriterCache {
-                version: u64::MAX,
-                sources: HashMap::new(),
-            },
-            active: ActiveChunk::new(),
-            last_seal,
-            zeros: Vec::new(),
-            closed: false,
-            crashed: false,
-        }
-    }
-
     /// Applies the repairs scheduled by a dirty recovery scan: re-seals
     /// surviving summaries whose seal entries were torn off, rebuilds
     /// summaries for complete chunks that lost theirs, and replays the
     /// partial tail chunk into the active-chunk accumulator. Returns
     /// `(summaries_rebuilt, seals_appended)`.
     fn apply_recovery(&mut self, recovered: &RecoveredState) -> Result<(u64, u64)> {
-        self.refresh_cache_if_stale();
+        self.refresh_slots_if_stale();
         let chunk_size = self.inner.config.chunk_size as u64;
 
         // Seal timestamps must stay monotone in the timestamp index, so
@@ -1647,17 +1616,13 @@ impl ShardWriter {
         let mut appended = 0u64;
         for u in &recovered.unsealed_summaries {
             seal_ts = seal_ts.max(u.ts_max);
-            let entry = TsEntry {
-                kind: TsKind::ChunkSeal,
-                source: 0,
-                ts: seal_ts,
-                target: u.summary_addr,
-                prev: self.last_seal,
-            };
-            self.last_seal = self.ts.append(&entry.encode())?;
+            self.logs.append_seal(u.summary_addr, seal_ts)?;
             appended += 1;
         }
 
+        // Rebuilt summaries run through the live accumulator, which is
+        // still empty: the tail is replayed into it only afterwards.
+        debug_assert!(self.logs.active.is_empty());
         let mut rebuilt = 0u64;
         let mut buf = vec![0u8; chunk_size as usize];
         let cold = Arc::clone(&self.inner.cold.read());
@@ -1670,29 +1635,20 @@ impl ShardWriter {
                 self.inner.record_log.read_at(chunk_addr, &mut buf)?;
             }
             let timer = Stopwatch::start();
-            let mut summary =
-                ChunkSummary::new(chunk_addr / chunk_size, chunk_addr, chunk_size as u32);
             for item in ChunkIter::new(&buf, chunk_addr) {
                 let rec = item?;
-                summary.observe_record(rec.header.source, rec.header.ts);
-                if let Some(cached) = self.cache.sources.get(&rec.header.source) {
-                    for idx in &cached.indexes {
-                        if let Some(value) = (idx.extractor)(rec.payload) {
-                            if let Some(bin) = idx.spec.bin_of(value) {
-                                summary.observe_value(idx.id, bin as u32, value, rec.header.ts);
-                            }
-                        }
-                    }
-                }
+                self.observe(rec.header.source, rec.header.ts, rec.payload);
             }
+            let summary = self.logs.active.take_summary(chunk_addr, chunk_size);
             seal_ts = seal_ts.max(summary.ts_max);
-            self.append_summary(&summary, seal_ts, timer)?;
+            self.logs
+                .append_summary(&self.inner, &summary, seal_ts, timer)?;
             rebuilt += 1;
         }
 
         // Replay the partial tail chunk into the active-chunk state so the
         // next seal's summary covers the pre-crash records too.
-        let tail = self.record.tail();
+        let tail = self.logs.record.tail();
         let within = tail % chunk_size;
         if within > 0 {
             let base = tail - within;
@@ -1700,19 +1656,7 @@ impl ShardWriter {
             self.inner.record_log.read_at(base, &mut tail_buf)?;
             for item in ChunkIter::new(&tail_buf, base) {
                 let rec = item?;
-                self.active.observe(rec.header.source, rec.header.ts);
-                if let Some(cached) = self.cache.sources.get_mut(&rec.header.source) {
-                    for idx in &mut cached.indexes {
-                        if let Some(value) = (idx.extractor)(rec.payload) {
-                            if let Some(bin) = idx.spec.bin_of(value) {
-                                match &mut idx.bins[bin] {
-                                    Some(s) => s.observe(value, rec.header.ts),
-                                    slot @ None => *slot = Some(BinStats::of(value, rec.header.ts)),
-                                }
-                            }
-                        }
-                    }
-                }
+                self.observe(rec.header.source, rec.header.ts, rec.payload);
             }
         }
 
@@ -1720,16 +1664,19 @@ impl ShardWriter {
         // timestamp-index entry; lift the clock past them too.
         self.inner
             .clock
-            .resume_at_least(seal_ts.max(self.active.ts_max));
+            .resume_at_least(seal_ts.max(self.logs.active.ts_max));
 
         // Make the repairs durable before handing out the writer.
-        self.record.publish();
-        self.chunk.publish();
-        self.ts.publish();
-        self.record.flush()?;
-        self.chunk.flush()?;
-        self.ts.flush()?;
+        self.sync(false)?;
         Ok((rebuilt, appended))
+    }
+
+    /// Accounts a recovered record into the active chunk. A source
+    /// without a slot (its definition was lost) still counts in the
+    /// chunk's sources, under no index.
+    fn observe(&mut self, source: u32, ts: u64, payload: &[u8]) {
+        let indexes = self.slots.get(&source).map_or(&[][..], |s| &s.indexes);
+        self.logs.active.observe(source, ts, payload, indexes);
     }
 
     /// Writes one record from `source` into this shard.
@@ -1737,24 +1684,28 @@ impl ShardWriter {
         if self.inner.health.is_read_only() {
             return Err(self.inner.degraded_error());
         }
-        self.refresh_cache_if_stale();
-        let max = self.inner.config.max_record_payload();
+        self.refresh_slots_if_stale();
+        let inner = &*self.inner;
+        let max = inner.config.max_record_payload();
         if payload.len() > max {
             return Err(LoomError::RecordTooLarge {
                 size: payload.len(),
                 max,
             });
         }
-        match self.cache.sources.get(&source.0) {
+        // The one slot lookup: the slot is held through the append, the
+        // bin observation, the record mark and the publish.
+        let slot = match self.slots.get_mut(&source.0) {
             None => return Err(LoomError::UnknownSource(source.0)),
-            Some(c) if c.closed => return Err(LoomError::SourceClosed(source.0)),
-            Some(_) => {}
-        }
+            Some(s) if s.closed => return Err(LoomError::SourceClosed(source.0)),
+            Some(s) => s,
+        };
+        let logs = &mut self.logs;
 
-        let ts = self.inner.clock.now();
+        let ts = inner.clock.now();
         let entry_size = RECORD_HEADER_SIZE + payload.len();
-        let chunk_size = self.inner.config.chunk_size as u64;
-        let within = self.record.tail() % chunk_size;
+        let chunk_size = inner.config.chunk_size as u64;
+        let within = logs.record.tail() % chunk_size;
         let needs_pad = within as usize + entry_size > chunk_size as usize;
         let pad = if needs_pad {
             (chunk_size - within) as usize
@@ -1767,12 +1718,12 @@ impl ShardWriter {
         // configured overload policy before any bytes are written. The
         // check covers the record log only — the far smaller index logs
         // keep the original blocking behavior.
-        if self.inner.config.overload != OverloadPolicy::Block
-            && self.record.append_would_wait(pad + entry_size)
+        if inner.config.overload != OverloadPolicy::Block
+            && logs.record.append_would_wait(pad + entry_size)
         {
-            match self.inner.config.overload {
+            match inner.config.overload {
                 OverloadPolicy::DropNewest => {
-                    self.inner.obs.engine.ingest_drop();
+                    inner.obs.engine.ingest_drop();
                     return Ok(NIL_ADDR);
                 }
                 OverloadPolicy::ErrorFast => return Err(LoomError::Overloaded),
@@ -1783,245 +1734,80 @@ impl ShardWriter {
         // Pad and seal the active chunk if the record does not fit.
         let mut sealed = needs_pad;
         if needs_pad {
-            Self::write_padding(&mut self.record, &mut self.zeros, pad)?;
-            self.inner.stats.add_pad_bytes(pad as u64);
-            self.seal_chunk(ts)?;
+            logs.pad(inner, pad)?;
+            logs.seal_chunk(inner, ts)?;
         }
 
-        // Look up — lazily creating — the writer-side source state, and
-        // append the record.
-        let (prev, count, last_mark) = {
-            let state = match self.sources.entry(source.0) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let shared = Arc::clone(&self.inner.registry.read().source(source)?.shared);
-                    v.insert(SourceWriterState {
-                        prev: NIL_ADDR,
-                        count: 0,
-                        last_mark: NIL_ADDR,
-                        shared,
-                    })
-                }
-            };
-            let prev = state.prev;
-            state.count += 1;
-            (prev, state.count, state.last_mark)
-        };
+        // Append the record behind the source's previous one.
+        slot.chain.count += 1;
+        let count = slot.chain.count;
         let header = RecordHeader {
             source: source.0,
             len: payload.len() as u32,
-            prev,
+            prev: slot.chain.prev,
             ts,
         };
-        let addr = self.record.append(&header.encode(payload))?;
-        self.record.append(payload)?;
-
-        // Update the active chunk summary.
-        self.active.observe(source.0, ts);
-        {
-            // Validated non-absent at the top of push; the cache is only
-            // rebuilt by refresh_cache_if_stale, which cannot run between
-            // there and here.
-            let cached = self.cache.sources.get_mut(&source.0).ok_or_else(|| {
-                LoomError::Internal(format!(
-                    "cached schema for source {} vanished mid-push",
-                    source.0
-                ))
-            })?;
-            for idx in &mut cached.indexes {
-                if let Some(value) = (idx.extractor)(payload) {
-                    if let Some(bin) = idx.spec.bin_of(value) {
-                        match &mut idx.bins[bin] {
-                            Some(s) => s.observe(value, ts),
-                            slot @ None => *slot = Some(BinStats::of(value, ts)),
-                        }
-                    }
-                }
-            }
-        }
+        let addr = logs.record.append(&header.encode(payload))?;
+        logs.record.append(payload)?;
+        logs.active.observe(source.0, ts, payload, &slot.indexes);
 
         // Seal immediately when the record exactly filled the chunk, so
         // the active region visible to queries is always the tail chunk.
-        if self.record.tail().is_multiple_of(chunk_size) {
-            self.seal_chunk(ts)?;
+        if logs.record.tail().is_multiple_of(chunk_size) {
+            logs.seal_chunk(inner, ts)?;
             sealed = true;
         }
 
         // Periodic record mark in the timestamp index.
-        let mut new_mark = None;
-        if (count - 1) % self.inner.config.ts_mark_period == 0 {
+        if (count - 1) % inner.config.ts_mark_period == 0 {
             let entry = TsEntry {
                 kind: TsKind::RecordMark,
                 source: source.0,
                 ts,
                 target: addr,
-                prev: last_mark,
+                prev: slot.chain.last_mark,
             };
-            new_mark = Some(self.ts.append(&entry.encode())?);
-            self.inner.stats.inc_ts_entries();
+            slot.chain.last_mark = logs.ts.append(&entry.encode())?;
+            inner.stats.inc_ts_entries();
         }
 
-        // Publish: record log, chunk index, timestamp index — in that
-        // order (§5.4) — then the source's last-record pointer.
-        self.record.publish();
-        self.chunk.publish();
-        self.ts.publish();
-        // Created by the entry() above; nothing between removes entries.
-        let state = self.sources.get_mut(&source.0).ok_or_else(|| {
-            LoomError::Internal(format!(
-                "writer state for source {} vanished mid-push",
-                source.0
-            ))
-        })?;
-        state.prev = addr;
-        if let Some(mark) = new_mark {
-            state.last_mark = mark;
-        }
-        state.shared.last_record.store(addr, Ordering::Release);
-        state.shared.records.store(count, Ordering::Release);
-        self.inner.stats.inc_records(entry_size as u64);
+        // Publish the three logs, then the source's last-record pointer.
+        logs.publish();
+        slot.chain.prev = addr;
+        slot.shared.last_record.store(addr, Ordering::Release);
+        slot.shared.records.store(count, Ordering::Release);
+        inner.stats.inc_records(entry_size as u64);
 
         // Test hook: age eligible chunks synchronously on every seal so
         // each query path exercises a populated cold tier. compact_round
         // itself no-ops when retention is disabled; a failed round
         // degrades the shard but never fails the push that sealed.
-        if sealed && self.inner.config.retention.compact_on_seal {
-            let _ = self.inner.compact_round();
+        if sealed && inner.config.retention.compact_on_seal {
+            let _ = inner.compact_round();
         }
         Ok(addr)
     }
 
-    /// Publishes and flushes this shard's three logs.
-    fn sync(&mut self) -> Result<()> {
-        self.record.publish();
-        self.chunk.publish();
-        self.ts.publish();
-        self.record.flush()?;
-        self.chunk.flush()?;
-        self.ts.flush()?;
-        Ok(())
-    }
-
-    /// [`ShardWriter::sync`] with fdatasync.
-    fn sync_durable(&mut self) -> Result<()> {
-        self.record.publish();
-        self.chunk.publish();
-        self.ts.publish();
-        self.record.flush_durable()?;
-        self.chunk.flush_durable()?;
-        self.ts.flush_durable()?;
-        Ok(())
+    /// Publishes and flushes this shard's three logs, with fdatasync when
+    /// `durable`.
+    fn sync(&mut self, durable: bool) -> Result<()> {
+        self.logs.publish();
+        self.logs.flush(durable)
     }
 
     /// Pads and seals this shard's active chunk even if it is not full.
     fn seal_active_chunk(&mut self) -> Result<()> {
-        if self.active.is_empty() {
+        if self.logs.active.is_empty() {
             return Ok(());
         }
-        let chunk_size = self.inner.config.chunk_size as u64;
-        let within = self.record.tail() % chunk_size;
+        let inner = &*self.inner;
+        let chunk_size = inner.config.chunk_size as u64;
+        let within = self.logs.record.tail() % chunk_size;
         if within != 0 {
-            let pad = (chunk_size - within) as usize;
-            Self::write_padding(&mut self.record, &mut self.zeros, pad)?;
-            self.inner.stats.add_pad_bytes(pad as u64);
+            self.logs.pad(inner, (chunk_size - within) as usize)?;
         }
-        let ts = self.inner.clock.now();
-        self.seal_chunk(ts)?;
-        self.record.publish();
-        self.chunk.publish();
-        self.ts.publish();
-        Ok(())
-    }
-
-    /// Writes a padding entry (or raw zeros) filling `pad` bytes.
-    fn write_padding(
-        record: &mut hybridlog::Writer,
-        zeros: &mut Vec<u8>,
-        pad: usize,
-    ) -> Result<()> {
-        if pad >= RECORD_HEADER_SIZE {
-            let header = RecordHeader {
-                source: SOURCE_PAD,
-                len: (pad - RECORD_HEADER_SIZE) as u32,
-                prev: NIL_ADDR,
-                ts: 0,
-            };
-            // The pad payload must be zeroed: staging blocks are recycled
-            // without clearing, and a chunk scan relies on zeroed bytes
-            // after the pad only when the pad is shorter than a header.
-            // Zeroing unconditionally keeps on-disk chunks deterministic,
-            // and the header checksum covers the zeroed payload.
-            zeros.resize(pad - RECORD_HEADER_SIZE, 0);
-            record.append(&header.encode(zeros))?;
-            record.append(zeros)?;
-        } else {
-            zeros.resize(pad, 0);
-            record.append(zeros)?;
-        }
-        Ok(())
-    }
-
-    /// Finalizes the active chunk's summary, appends it to the chunk
-    /// index, and records the seal in the timestamp index.
-    fn seal_chunk(&mut self, ts: u64) -> Result<()> {
-        let chunk_size = self.inner.config.chunk_size as u64;
-        debug_assert_eq!(self.record.tail() % chunk_size, 0);
-        let chunk_end = self.record.tail();
-        let chunk_addr = chunk_end - chunk_size;
-        let chunk_seq = chunk_addr / chunk_size;
-
-        let timer = Stopwatch::start();
-        let mut summary = ChunkSummary::new(chunk_seq, chunk_addr, chunk_size as u32);
-        summary.ts_min = self.active.ts_min;
-        summary.ts_max = self.active.ts_max;
-        for (source, count) in &self.active.sources {
-            summary.sources.insert(*source, *count);
-        }
-        for cached in self.cache.sources.values_mut() {
-            for idx in &mut cached.indexes {
-                let mut bins = std::collections::BTreeMap::new();
-                for (bin, stats) in idx.bins.iter_mut().enumerate() {
-                    if let Some(s) = stats.take() {
-                        bins.insert(bin as u32, s);
-                    }
-                }
-                if !bins.is_empty() {
-                    summary.indexes.insert(idx.id, bins);
-                }
-            }
-        }
-        self.active.reset();
-        self.append_summary(&summary, ts, timer)?;
-        self.inner.stats.inc_chunks_sealed();
-        self.inner.stats.inc_ts_entries();
-        Ok(())
-    }
-
-    /// Appends `summary` to the chunk index, mirrors it, and records its
-    /// seal at `ts` in the timestamp index. Nothing here publishes, so
-    /// the mirror holds the summary before either watermark can expose
-    /// its seal to a query (DESIGN §10.1).
-    fn append_summary(&mut self, summary: &ChunkSummary, ts: u64, timer: Stopwatch) -> Result<()> {
-        let mut buf = Vec::with_capacity(256);
-        summary.encode(&mut buf);
-        let summary_addr = self.chunk.append(&buf)?;
-        self.inner
-            .obs
-            .engine
-            .chunk_sealed(timer.elapsed_nanos(), buf.len() as u64);
-        let bytes = self
-            .inner
-            .summaries
-            .append(summary_addr, buf.len(), summary);
-        self.inner.obs.index.summary_mirror_bytes(bytes as u64);
-        let entry = TsEntry {
-            kind: TsKind::ChunkSeal,
-            source: 0,
-            ts,
-            target: summary_addr,
-            prev: self.last_seal,
-        };
-        self.last_seal = self.ts.append(&entry.encode())?;
+        self.logs.seal_chunk(inner, inner.clock.now())?;
+        self.logs.publish();
         Ok(())
     }
 
@@ -2033,9 +1819,7 @@ impl ShardWriter {
         // Durable flush: the clean-shutdown marker below asserts the
         // tails it records are on disk, so they must survive more than
         // the page cache.
-        self.record.flush_durable()?;
-        self.chunk.flush_durable()?;
-        self.ts.flush_durable()?;
+        self.logs.flush(true)?;
         // One final retention round while everything is durable, so an
         // aggressive policy ages the freshly sealed tail before the
         // shutdown marker. Failures degrade the shard but must not block
@@ -2050,22 +1834,24 @@ impl ShardWriter {
             // must take the recovery path.
             return Err(LoomError::Io(k.to_io_error()));
         }
+        // Sources with no record or mark in this shard carry no chain.
         let mut sources: Vec<SourceTail> = self
-            .sources
+            .slots
             .iter()
+            .filter(|(_, s)| s.chain != SourceState::default())
             .map(|(id, s)| SourceTail {
                 id: *id,
-                prev: s.prev,
-                count: s.count,
-                last_mark: s.last_mark,
+                prev: s.chain.prev,
+                count: s.chain.count,
+                last_mark: s.chain.last_mark,
             })
             .collect();
         sources.sort_by_key(|s| s.id);
         let state = CleanShutdown {
-            record_tail: self.record.tail(),
-            chunk_tail: self.chunk.tail(),
-            ts_tail: self.ts.tail(),
-            last_seal: self.last_seal,
+            record_tail: self.logs.record.tail(),
+            chunk_tail: self.logs.chunk.tail(),
+            ts_tail: self.logs.ts.tail(),
+            last_seal: self.logs.last_seal,
             sources,
         };
         self.inner
@@ -2080,57 +1866,152 @@ impl ShardWriter {
     /// shutdown on drop is suppressed.
     fn simulate_crash_in_place(&mut self) {
         self.crashed = true;
-        self.record.mark_crashed();
-        self.chunk.mark_crashed();
-        self.ts.mark_crashed();
+        self.logs.record.mark_crashed();
+        self.logs.chunk.mark_crashed();
+        self.logs.ts.mark_crashed();
     }
 
-    /// Refreshes the schema cache when the registry version changed,
-    /// carrying over in-progress bin accumulations for surviving indexes.
+    /// Brings the slots up to the registry's current version, in place:
+    /// adds newly defined sources, flips `closed`, and rebuilds each
+    /// source's index list, carrying in-progress bins over by index ID (a
+    /// closed index's bins are dropped, a new index starts empty). Chain
+    /// state is never touched.
     ///
-    /// The cache deliberately covers *every* source in the registry, not
+    /// The slots deliberately cover *every* source in the registry, not
     /// just those homed here: routing guarantees foreign sources are
-    /// never pushed to this shard, and a full copy keeps cache rebuilds
+    /// never pushed to this shard, and a full copy keeps refreshes
     /// independent of the routing function.
-    fn refresh_cache_if_stale(&mut self) {
+    fn refresh_slots_if_stale(&mut self) {
         let version = self.inner.registry_version.get();
-        if version == self.cache.version {
+        if version == self.version {
             return;
         }
         let registry = self.inner.registry.read();
-        let mut old = std::mem::take(&mut self.cache.sources);
-        let mut new_sources = HashMap::new();
+        let acc = &mut self.logs.active.indexes;
+        let mut old: HashMap<u32, Vec<Option<BinStats>>> =
+            std::mem::take(acc).into_iter().collect();
         for (sid, entry) in registry.sources() {
-            let mut old_source = old.remove(&sid.0);
-            let mut indexes = Vec::new();
+            let slot = self.slots.entry(sid.0).or_insert_with(|| {
+                SourceSlot::new(Arc::clone(&entry.shared), SourceState::default())
+            });
+            slot.closed = entry.closed;
+            slot.indexes.clear();
             for (iid, idx) in registry.indexes_of(sid) {
-                let bins = old_source
-                    .as_mut()
-                    .and_then(|os| {
-                        os.indexes
-                            .iter_mut()
-                            .find(|ci| ci.id == iid.0)
-                            .map(|ci| std::mem::take(&mut ci.bins))
-                    })
+                let bins = old
+                    .remove(&iid.0)
                     .filter(|b| b.len() == idx.spec.bin_count())
                     .unwrap_or_else(|| vec![None; idx.spec.bin_count()]);
-                indexes.push(CachedIndex {
-                    id: iid.0,
-                    extractor: Arc::clone(&idx.extractor),
-                    spec: Arc::clone(&idx.spec),
-                    bins,
+                slot.indexes.push(CachedIndex {
+                    extractor: idx.extractor,
+                    spec: idx.spec,
+                    acc: acc.len(),
                 });
+                acc.push((iid.0, bins));
             }
-            new_sources.insert(
-                sid.0,
-                CachedSource {
-                    closed: entry.closed,
-                    indexes,
-                },
-            );
         }
-        self.cache.sources = new_sources;
-        self.cache.version = version;
+        self.version = version;
+    }
+}
+
+impl ShardLogs {
+    /// Publishes the watermarks in §5.4 order: record log, chunk index,
+    /// timestamp index.
+    fn publish(&self) {
+        self.record.publish();
+        self.chunk.publish();
+        self.ts.publish();
+    }
+
+    /// Flushes the three logs, with fdatasync when `durable`.
+    fn flush(&mut self, durable: bool) -> Result<()> {
+        for log in [&mut self.record, &mut self.chunk, &mut self.ts] {
+            if durable {
+                log.flush_durable()?;
+            } else {
+                log.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills the rest of the active chunk with `pad` bytes: a padding
+    /// entry, or raw zeros when the gap is shorter than a header.
+    fn pad(&mut self, inner: &Inner, pad: usize) -> Result<()> {
+        let zeros = &mut self.zeros;
+        if pad >= RECORD_HEADER_SIZE {
+            let header = RecordHeader {
+                source: SOURCE_PAD,
+                len: (pad - RECORD_HEADER_SIZE) as u32,
+                prev: NIL_ADDR,
+                ts: 0,
+            };
+            // The pad payload must be zeroed: staging blocks are recycled
+            // without clearing, and a chunk scan relies on zeroed bytes
+            // after the pad only when the pad is shorter than a header.
+            // Zeroing unconditionally keeps on-disk chunks deterministic,
+            // and the header checksum covers the zeroed payload.
+            zeros.resize(pad - RECORD_HEADER_SIZE, 0);
+            self.record.append(&header.encode(zeros))?;
+            self.record.append(zeros)?;
+        } else {
+            zeros.resize(pad, 0);
+            self.record.append(zeros)?;
+        }
+        inner.stats.add_pad_bytes(pad as u64);
+        Ok(())
+    }
+
+    /// Seals the chunk that just filled: its summary leaves the
+    /// accumulator for the chunk index, and the seal is recorded in the
+    /// timestamp index.
+    fn seal_chunk(&mut self, inner: &Inner, ts: u64) -> Result<()> {
+        let chunk_size = inner.config.chunk_size as u64;
+        debug_assert_eq!(self.record.tail() % chunk_size, 0);
+        let timer = Stopwatch::start();
+        let summary = self
+            .active
+            .take_summary(self.record.tail() - chunk_size, chunk_size);
+        self.append_summary(inner, &summary, ts, timer)?;
+        inner.stats.inc_chunks_sealed();
+        inner.stats.inc_ts_entries();
+        Ok(())
+    }
+
+    /// Appends `summary` to the chunk index, mirrors it, and records its
+    /// seal at `ts` in the timestamp index. Nothing here publishes, so
+    /// the mirror holds the summary before either watermark can expose
+    /// its seal to a query (DESIGN §10.1).
+    fn append_summary(
+        &mut self,
+        inner: &Inner,
+        summary: &ChunkSummary,
+        ts: u64,
+        timer: Stopwatch,
+    ) -> Result<()> {
+        let mut buf = Vec::with_capacity(256);
+        summary.encode(&mut buf);
+        let summary_addr = self.chunk.append(&buf)?;
+        inner
+            .obs
+            .engine
+            .chunk_sealed(timer.elapsed_nanos(), buf.len() as u64);
+        let bytes = inner.summaries.append(summary_addr, buf.len(), summary);
+        inner.obs.index.summary_mirror_bytes(bytes as u64);
+        self.append_seal(summary_addr, ts)
+    }
+
+    /// Appends a chunk-seal entry for the summary at `summary_addr` to
+    /// the timestamp index's seal chain.
+    fn append_seal(&mut self, summary_addr: u64, ts: u64) -> Result<()> {
+        let entry = TsEntry {
+            kind: TsKind::ChunkSeal,
+            source: 0,
+            ts,
+            target: summary_addr,
+            prev: self.last_seal,
+        };
+        self.last_seal = self.ts.append(&entry.encode())?;
+        Ok(())
     }
 }
 

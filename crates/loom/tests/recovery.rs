@@ -275,7 +275,8 @@ fn flipped_byte_in_chunk_index_rebuilds_summaries() {
 /// dirty recovery — which rebuilds the summary from the chunk's records,
 /// read from the cold tier when the chunk was aged — instead of taking
 /// the fast path and failing every indexed query over that chunk with
-/// `CorruptLog`.
+/// `CorruptLog`. The rebuilt summaries run through the same accumulator
+/// the sealed ones did, so `chunks.log` comes back byte for byte.
 fn summary_corrupted_after_clean_close(name: &str, retention: RetentionConfig) {
     let env = Env::new(name);
     let open = |start| {
@@ -286,10 +287,17 @@ fn summary_corrupted_after_clean_close(name: &str, retention: RetentionConfig) {
     };
     let (loom, mut writer) = open(1_000);
     let s = loom.define_source("app");
+    let other = loom.define_source("other");
     let idx = loom
         .define_index_desc(s, ExtractorDesc::U64Le(0), spec())
         .unwrap();
-    push_n(&loom, &mut writer, s, 3_000, |i| i * 7 % 60_000);
+    for i in 0..3_000u64 {
+        loom.clock().advance(10);
+        writer.push(s, &(i * 7 % 60_000).to_le_bytes()).unwrap();
+        if i % 3 == 0 {
+            writer.push(other, &i.to_le_bytes()).unwrap();
+        }
+    }
     let answers = |loom: &Loom| {
         let query = || loom.query(s).index(idx).range(TimeRange::new(0, u64::MAX));
         let mut recs = Vec::new();
@@ -306,13 +314,15 @@ fn summary_corrupted_after_clean_close(name: &str, retention: RetentionConfig) {
             aggs.push(query().aggregate(m)?.value.map(f64::to_bits));
         }
         let (bins, _) = query().bin_counts()?;
-        Ok::<_, LoomError>((recs, aggs, bins, scan_all(loom, s)))
+        let raw = (scan_all(loom, s), scan_all(loom, other));
+        Ok::<_, LoomError>((recs, aggs, bins, raw))
     };
     let before = answers(&loom).unwrap();
     writer.close().unwrap();
     drop(loom);
 
-    // Flip one body byte of the summary frame in the middle of the log.
+    // Flip one body byte of summary frame 1: every later frame goes with
+    // it and is rebuilt.
     let path = env.dir.join(LogId::Chunks.file_name());
     let bytes = std::fs::read(&path).unwrap();
     let mut frames = Vec::new();
@@ -321,18 +331,27 @@ fn summary_corrupted_after_clean_close(name: &str, retention: RetentionConfig) {
         frames.push(pos);
         pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     }
-    let victim = frames[frames.len() / 2] + 8 + 20;
+    let victim = frames[1] + 8 + 20;
     flip_byte(&path, (bytes.len() - 1 - victim) as u64);
 
     let (loom2, _w) = open(0);
     assert_eq!(answers(&loom2).unwrap(), before);
+    assert_eq!(before.1[0], Some(3_000f64.to_bits()), "Count");
     let report = loom2.recovery_report().unwrap();
     assert!(
         !report.clean,
         "a corrupt summary must demote the clean reopen"
     );
     assert!(report.truncations.iter().any(|t| t.log == LogId::Chunks));
-    assert!(report.summaries_rebuilt > 0, "{report:?}");
+    assert_eq!(
+        report.summaries_rebuilt,
+        frames.len() as u64 - 1,
+        "{report:?}"
+    );
+    assert!(
+        std::fs::read(&path).unwrap() == bytes,
+        "rebuilt summaries must encode to the sealed bytes"
+    );
     if retention.enabled {
         assert!(loom2.tier_stats()[0].cold.chunks > 0, "chunks must be cold");
     }
@@ -555,29 +574,117 @@ fn reopen_reports_recovery_metrics() {
     assert_eq!(m.coordinator.clean_reopens, 1);
 }
 
+/// Alternating synced crashes and clean closes. Two interleaved indexed
+/// sources run throughout; a third is defined in round 1 and closed in
+/// round 3. Every crash round ends mid-chunk, so the next reopen replays
+/// a partial tail chunk. After each reopen the per-source chains (walked
+/// back across every earlier reopen) and the indexed `Count`/`Sum` must
+/// equal a straight-line run's.
 #[test]
 fn repeated_crashes_and_reopens_accumulate_correctly() {
     let env = Env::new("repeat");
-    let mut expected = Vec::new();
+    // Per source: the `(ts, value)` pairs a straight-line run holds.
+    let mut expected: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut sources: Vec<SourceId> = Vec::new();
+    let mut indexes = Vec::new();
+    let check = |loom: &Loom, sources: &[SourceId], expected: &[Vec<(u64, u64)>], at: &str| {
+        for (s, want) in sources.iter().zip(expected) {
+            assert!(scan_all(loom, *s) == *want, "{at}: source {} chain", s.0);
+        }
+        for (k, idx) in indexes_of_first_two(loom, sources).into_iter().enumerate() {
+            let query = || {
+                loom.query(sources[k])
+                    .index(idx)
+                    .range(TimeRange::new(0, u64::MAX))
+            };
+            let count = query().aggregate(Aggregate::Count).unwrap().value;
+            let sum = query().aggregate(Aggregate::Sum).unwrap().value;
+            let want_sum: f64 = expected[k].iter().map(|(_, v)| *v as f64).sum();
+            assert_eq!(
+                count,
+                Some(expected[k].len() as f64),
+                "{at}: index {} count",
+                idx.0
+            );
+            assert_eq!(
+                sum.map(f64::to_bits),
+                Some(want_sum.to_bits()),
+                "{at}: index {} sum",
+                idx.0
+            );
+        }
+    };
     let mut start = 1_000;
-    for round in 0..5u64 {
+    for round in 0..6u64 {
         let (loom, mut writer) = env.open(start);
-        let s = if round == 0 {
-            loom.define_source("app")
-        } else {
-            loom.sources()[0].0
+        start = 0;
+        check(&loom, &sources, &expected, &format!("reopen {round}"));
+        match round {
+            0 => {
+                for name in ["a", "b"] {
+                    let s = loom.define_source(name);
+                    indexes.push(
+                        loom.define_index_desc(s, ExtractorDesc::U64Le(0), spec())
+                            .unwrap(),
+                    );
+                    sources.push(s);
+                    expected.push(Vec::new());
+                }
+            }
+            1 => {
+                sources.push(loom.define_source("late"));
+                expected.push(Vec::new());
+            }
+            3 => loom.close_source(sources[2]).unwrap(),
+            _ => {}
+        }
+        let late_open = (1..3).contains(&round);
+        let mut push_round = |writer: &mut loom::LoomWriter, n: u64| {
+            for i in 0..n {
+                for (k, s) in sources.iter().enumerate() {
+                    if k == 2 && !late_open {
+                        continue;
+                    }
+                    let v = (round * 1_000 + i * 7 + k as u64) % 60_000;
+                    let ts = loom.clock().advance(10);
+                    writer.push(*s, &v.to_le_bytes()).unwrap();
+                    expected[k].push((ts, v));
+                }
+            }
         };
-        expected.extend(push_n(&loom, &mut writer, s, 300, |i| round * 1_000 + i));
+        push_round(&mut writer, 200 + round * 31);
+        writer.seal_active_chunk().unwrap();
+        // End mid-chunk: a crash leaves a partial tail chunk to replay.
+        push_round(&mut writer, 45 + round * 13);
+        if round >= 3 {
+            let err = writer.push(sources[2], &0u64.to_le_bytes()).unwrap_err();
+            assert!(
+                matches!(err, LoomError::SourceClosed(id) if id == sources[2].0),
+                "{err}"
+            );
+        }
+        check(&loom, &sources, &expected, &format!("round {round}"));
         if round % 2 == 0 {
             writer.sync().unwrap();
             writer.simulate_crash();
         } else {
             writer.close().unwrap();
         }
-        drop(loom);
-        start = 0;
     }
     let (loom, _writer) = env.open(0);
-    let s = loom.sources()[0].0;
-    assert_eq!(scan_all(&loom, s), expected);
+    assert_eq!(indexes_of_first_two(&loom, &sources), indexes);
+    check(&loom, &sources, &expected, "final reopen");
+}
+
+/// The one open index of each of the first two sources.
+fn indexes_of_first_two(loom: &Loom, sources: &[SourceId]) -> Vec<loom::IndexId> {
+    sources
+        .iter()
+        .take(2)
+        .map(|s| {
+            let idx = loom.indexes_of(*s);
+            assert_eq!(idx.len(), 1);
+            idx[0]
+        })
+        .collect()
 }
