@@ -1,25 +1,24 @@
 //! Distributed aggregation over multiple Loom instances (§8).
 //!
-//! Loom runs per host, but correlated events span hosts. The paper
-//! sketches a coordinator that contacts the Loom instances on relevant
-//! hosts, has each compute an intermediate result on-host, and merges
-//! the intermediates. This module implements that sketch for in-process
-//! instances (the building block a networked deployment would wrap in
-//! RPC):
+//! The paper sketches a coordinator that merges intermediate results each
+//! relevant host's Loom computes on-host. This module implements it for
+//! in-process instances (a networked deployment would wrap it in RPC);
+//! the intermediate is the partial one engine folds its chunks into:
 //!
-//! * **Distributive aggregates** (count/sum/min/max/mean) merge node
-//!   partials directly.
-//! * **Holistic percentiles** use a distributed version of the
-//!   bins-as-CDF strategy: merge per-node bin counts, locate the global
-//!   target bin, then fetch only that bin's values from each node.
+//! * **Distributive aggregates** (count/sum/min/max/mean): one partial
+//!   per node → merge → finish.
+//! * **Holistic percentiles** (distributed bins-as-CDF): one partial with
+//!   bins per node → merge → locate the global target bin → fetch only
+//!   that bin's values from each node → select the rank among them.
 //!
-//! All nodes must use the *same histogram specification* for the queried
-//! index; the coordinator validates this.
+//! All nodes must share the queried index's histogram specification
+//! (validated). A percentile's two phases are two queries, so two captures,
+//! per node: under live ingest, phase B can see records A did not count.
 
 use crate::engine::Loom;
 use crate::error::{LoomError, Result};
 use crate::histogram::HistogramSpec;
-use crate::query::{Aggregate, TimeRange, ValueRange};
+use crate::query::{select_rank, Aggregate, Partial, Query, TimeRange};
 use crate::registry::{IndexId, SourceId};
 use crate::stats::QueryStats;
 
@@ -33,6 +32,12 @@ pub struct Node {
     pub source: SourceId,
     /// Index on that node (must share the histogram spec).
     pub index: IndexId,
+}
+
+impl Node {
+    fn query(&self, range: TimeRange) -> Query<'_> {
+        self.loom.query(self.source).index(self.index).range(range)
+    }
 }
 
 /// Result of a distributed aggregate.
@@ -61,8 +66,7 @@ impl Coordinator {
         };
         let spec = first.loom.index_spec(first.source, first.index)?;
         for node in &nodes[1..] {
-            let other = node.loom.index_spec(node.source, node.index)?;
-            if other != spec {
+            if node.loom.index_spec(node.source, node.index)? != spec {
                 return Err(LoomError::InvalidQuery(format!(
                     "node {} uses a different histogram specification",
                     node.name
@@ -79,160 +83,35 @@ impl Coordinator {
 
     /// Runs a distributed aggregate over `range` on every node.
     pub fn aggregate(&self, range: TimeRange, method: Aggregate) -> Result<DistributedResult> {
-        match method {
-            Aggregate::Percentile(p) => self.percentile(range, p),
-            _ => self.distributive(range, method),
-        }
-    }
-
-    fn distributive(&self, range: TimeRange, method: Aggregate) -> Result<DistributedResult> {
+        let with_bins = matches!(method, Aggregate::Percentile(_));
         let mut stats = QueryStats::default();
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
+        let mut total = Partial::new(&self.spec, with_bins);
         for node in &self.nodes {
-            // Each node computes its partials on-host; only the partials
-            // cross the (conceptual) network.
-            for m in [
-                Aggregate::Count,
-                Aggregate::Sum,
-                Aggregate::Min,
-                Aggregate::Max,
-            ] {
-                let r = node
-                    .loom
-                    .query(node.source)
-                    .index(node.index)
-                    .range(range)
-                    .aggregate(m)?;
-                stats.merge(&r.stats);
-                if let Some(v) = r.value {
-                    match m {
-                        Aggregate::Count => count += v as u64,
-                        Aggregate::Sum => sum += v,
-                        Aggregate::Min => min = min.min(v),
-                        Aggregate::Max => max = max.max(v),
-                        _ => unreachable!("distributive set"),
-                    }
-                }
-            }
-        }
-        if count == 0 {
-            return Ok(DistributedResult {
-                value: None,
-                count: 0,
-                stats,
-            });
+            let (partial, node_stats) = node.query(range).partial(with_bins)?;
+            stats.merge(&node_stats);
+            total.merge(&partial);
         }
         let value = match method {
-            Aggregate::Count => count as f64,
-            Aggregate::Sum => sum,
-            Aggregate::Min => min,
-            Aggregate::Max => max,
-            Aggregate::Mean => sum / count as f64,
-            Aggregate::Percentile(_) => unreachable!("handled separately"),
+            Aggregate::Percentile(p) => match total.target(p)? {
+                None => None,
+                // Phase B: only the target bin's values leave the nodes.
+                Some((bin, rank)) => {
+                    let mut values = Vec::new();
+                    for node in &self.nodes {
+                        let (in_bin, node_stats) = node.query(range).values_in_bin(bin)?;
+                        stats.merge(&node_stats);
+                        values.extend(in_bin);
+                    }
+                    Some(select_rank(values, bin, rank)?)
+                }
+            },
+            _ => total.finish(method),
         };
         Ok(DistributedResult {
-            value: Some(value),
-            count,
+            value,
+            count: total.count,
             stats,
         })
-    }
-
-    fn percentile(&self, range: TimeRange, p: f64) -> Result<DistributedResult> {
-        if !(0.0..=100.0).contains(&p) {
-            return Err(LoomError::InvalidQuery(format!(
-                "percentile {p} outside [0, 100]"
-            )));
-        }
-        let mut stats = QueryStats::default();
-        // Phase A: merge per-node bin counts into a global CDF.
-        let mut merged = vec![0u64; self.spec.bin_count()];
-        for node in &self.nodes {
-            let (counts, node_stats) = node
-                .loom
-                .query(node.source)
-                .index(node.index)
-                .range(range)
-                .bin_counts()?;
-            stats.merge(&node_stats);
-            for (m, c) in merged.iter_mut().zip(&counts) {
-                *m += c;
-            }
-        }
-        let total: u64 = merged.iter().sum();
-        if total == 0 {
-            return Ok(DistributedResult {
-                value: None,
-                count: 0,
-                stats,
-            });
-        }
-        let rank = ((p / 100.0 * total as f64).ceil() as u64).clamp(1, total);
-        let mut cumulative = 0u64;
-        let mut target_bin = self.spec.bin_count() - 1;
-        for (bin, c) in merged.iter().enumerate() {
-            if cumulative + c >= rank {
-                target_bin = bin;
-                break;
-            }
-            cumulative += c;
-        }
-        let rank_in_bin = (rank - cumulative) as usize; // 1-based
-
-        // Phase B: fetch only the target bin's values from each node.
-        let (lo, hi) = self.spec.bin_range(target_bin);
-        let fetch_range = ValueRange::new(lo, next_down(hi));
-        let mut values: Vec<f64> = Vec::new();
-        for node in &self.nodes {
-            let node_stats = node
-                .loom
-                .query(node.source)
-                .index(node.index)
-                .range(range)
-                .value_range(fetch_range)
-                .scan(|record| {
-                    // Recompute the value via the node's extractor.
-                    if let Ok(Some(v)) =
-                        node.loom
-                            .extract_value(node.source, node.index, record.payload)
-                    {
-                        values.push(v);
-                    }
-                })?;
-            stats.merge(&node_stats);
-        }
-        if values.len() < rank_in_bin {
-            return Err(LoomError::Corrupt(format!(
-                "distributed percentile fetched {} values in bin {target_bin}, needed {rank_in_bin}",
-                values.len()
-            )));
-        }
-        let (_, v, _) = values.select_nth_unstable_by(rank_in_bin - 1, |a, b| a.total_cmp(b));
-        Ok(DistributedResult {
-            value: Some(*v),
-            count: total,
-            stats,
-        })
-    }
-}
-
-/// Largest `f64` strictly less than `x` (for closed upper bin bounds).
-fn next_down(x: f64) -> f64 {
-    if x.is_nan() || x == f64::NEG_INFINITY {
-        return x;
-    }
-    if x == f64::INFINITY {
-        return f64::MAX;
-    }
-    let bits = x.to_bits();
-    if x > 0.0 {
-        f64::from_bits(bits - 1)
-    } else if x < 0.0 {
-        f64::from_bits(bits + 1)
-    } else {
-        -f64::from_bits(1)
     }
 }
 
@@ -247,7 +126,7 @@ mod tests {
         HistogramSpec::uniform(0.0, 100_000.0, 20).expect("valid")
     }
 
-    fn node(name: &str, values: &[u64]) -> (Node, crate::engine::LoomWriter, std::path::PathBuf) {
+    fn node(name: &str, values: &[f64]) -> (Node, crate::engine::LoomWriter, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "loom-coord-{}-{}-{}",
             name,
@@ -259,7 +138,7 @@ mod tests {
             Loom::open_with_clock(Config::small(&dir), Clock::manual(0)).unwrap();
         let source = loom.define_source("s");
         let index = loom
-            .define_index(source, extract::u64_le_at(0), spec())
+            .define_index(source, extract::f64_le_at(0), spec())
             .unwrap();
         for v in values {
             loom.clock().advance(10);
@@ -277,11 +156,21 @@ mod tests {
         )
     }
 
+    /// The node's own answer, through the public builder.
+    fn local(node: &Node, range: TimeRange, method: Aggregate) -> crate::query::AggregateResult {
+        let q = node.loom.query(node.source).index(node.index).range(range);
+        q.aggregate(method).unwrap()
+    }
+
+    fn spread(n: u64, step: u64) -> Vec<f64> {
+        (0..n).map(|i| ((i * step) % 90_000) as f64).collect()
+    }
+
     #[test]
     fn distributed_aggregates_match_global_reference() {
-        let a_values: Vec<u64> = (0..500).map(|i| (i * 131) % 90_000).collect();
-        let b_values: Vec<u64> = (0..700).map(|i| (i * 733) % 90_000).collect();
-        let c_values: Vec<u64> = (0..50).map(|i| 90_000 + i).collect();
+        let a_values = spread(500, 131);
+        let b_values = spread(700, 733);
+        let c_values: Vec<f64> = (0..50).map(|i| (90_000 + i) as f64).collect();
         let (a, _wa, da) = node("a", &a_values);
         let (b, _wb, db) = node("b", &b_values);
         let (c, _wc, dc) = node("c", &c_values);
@@ -292,7 +181,7 @@ mod tests {
             .iter()
             .chain(&b_values)
             .chain(&c_values)
-            .map(|v| *v as f64)
+            .copied()
             .collect();
         let range = TimeRange::new(0, u64::MAX);
 
@@ -318,8 +207,92 @@ mod tests {
     }
 
     #[test]
+    fn distributed_percentile_fetches_stored_infinities() {
+        // +inf lands in the last (open-ended) bin; phase B must fetch it.
+        let (a, _wa, da) = node("inf-a", &[1.0, 2.0, f64::INFINITY]);
+        let (b, _wb, db) = node("inf-b", &[3.0, 4.0]);
+        let range = TimeRange::new(0, u64::MAX);
+        let p100 = Aggregate::Percentile(100.0);
+        assert_eq!(local(&a, range, p100).value, Some(f64::INFINITY));
+        let coord = Coordinator::new(vec![a, b]).unwrap();
+        let r = coord.aggregate(range, p100).unwrap();
+        assert_eq!((r.value, r.count), (Some(f64::INFINITY), 5));
+        let max = coord.aggregate(range, Aggregate::Max).unwrap();
+        assert_eq!(max.value, Some(f64::INFINITY));
+        for d in [da, db] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    #[test]
+    fn distributive_stats_are_the_nodes_local_stats() {
+        let (a, _wa, da) = node("stats-a", &spread(500, 131));
+        let (b, _wb, db) = node("stats-b", &spread(700, 733));
+        let (c, _wc, dc) = node("stats-c", &[1.0, 2.0, 3.0]);
+        let (d, _wd, dd) = node("stats-d", &[4.0, 5.0]);
+        let full = TimeRange::new(0, u64::MAX);
+        let cut = TimeRange::new(1_234, 5_678);
+        let methods = [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Min,
+            Aggregate::Max,
+            Aggregate::Mean,
+        ];
+        let tail_only = Coordinator::new(vec![c, d]).unwrap();
+        // Five tail records on two nodes: one chunk piece per node.
+        let r = tail_only.aggregate(full, Aggregate::Count).unwrap();
+        let s = r.stats;
+        assert_eq!(
+            (s.chunks_scanned, s.records_scanned, s.shards_fanned_out),
+            (2, 5, 2)
+        );
+        let expected = |range| {
+            let mut sum = QueryStats::default();
+            for n in [&a, &b] {
+                sum.merge(&local(n, range, Aggregate::Count).stats);
+            }
+            sum
+        };
+        let (full_stats, cut_stats) = (expected(full), expected(cut));
+        let coord = Coordinator::new(vec![a, b]).unwrap();
+        for (range, expected) in [(full, full_stats), (cut, cut_stats)] {
+            for m in methods {
+                let r = coord.aggregate(range, m).unwrap();
+                assert_eq!(r.stats, expected, "{m:?} over {range:?}");
+            }
+        }
+        for d in [da, db, dc, dd] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    #[test]
+    fn distributed_percentile_fetches_only_the_target_bin() {
+        let (a, _wa, da) = node("bin-a", &spread(500, 131));
+        let (b, _wb, db) = node("bin-b", &spread(700, 733));
+        let range = TimeRange::new(1_234, u64::MAX);
+        let mut merged = vec![0u64; spec().bin_count()];
+        for n in [&a, &b] {
+            let q = n.loom.query(n.source).index(n.index).range(range);
+            for (m, c) in merged.iter_mut().zip(q.bin_counts().unwrap().0) {
+                *m += c;
+            }
+        }
+        let coord = Coordinator::new(vec![a, b]).unwrap();
+        for p in [0.0, 50.0, 99.9, 100.0] {
+            let r = coord.aggregate(range, Aggregate::Percentile(p)).unwrap();
+            let bin = spec().bin_of(r.value.unwrap()).unwrap();
+            assert_eq!(r.stats.records_matched, merged[bin], "p{p}");
+        }
+        for d in [da, db] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    #[test]
     fn mismatched_histograms_are_rejected() {
-        let (a, _wa, da) = node("ma", &[1, 2, 3]);
+        let (a, _wa, da) = node("ma", &[1.0, 2.0, 3.0]);
         // A node with a different spec.
         let dir = std::env::temp_dir().join(format!("loom-coord-mm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -350,7 +323,7 @@ mod tests {
 
     #[test]
     fn empty_range_returns_none() {
-        let (a, _wa, da) = node("empty", &[5, 6, 7]);
+        let (a, _wa, da) = node("empty", &[5.0, 6.0, 7.0]);
         let coord = Coordinator::new(vec![a]).unwrap();
         let r = coord
             .aggregate(TimeRange::new(0, 1), Aggregate::Percentile(99.0))

@@ -1,222 +1,174 @@
-//! The indexed aggregate operator (§4.3).
+//! The indexed aggregate operator (§4.3), built on one mergeable
+//! [`Partial`].
 //!
-//! Distributive aggregates (count, sum, min, max, mean) are computed from
-//! chunk-summary bins whenever a chunk's time range lies fully inside the
-//! query range, falling back to exact chunk scans for partially covered
-//! chunks and the unsummarized tail region.
+//! A `Partial` holds the count, sum, min and max of an index's binnable
+//! values over a time range and, when asked, their per-bin counts (the
+//! histogram read as a CDF). Every aggregate folds into one: the summary
+//! bins of chunks fully inside the range (`fold_bin`), the exactly
+//! decoded values of chunks the range cuts and of the unsummarized tail
+//! (`observe`), and the per-chunk partials of the worker pool and the
+//! per-node partials of the distributed coordinator (`merge`).
 //!
-//! Holistic percentiles use the bins-as-CDF strategy: a first pass
-//! accumulates per-bin counts to locate the bin containing the requested
-//! rank; a second pass collects only that bin's values and selects the
-//! rank within it. This avoids materializing or sorting the whole data
-//! set.
+//! * Distributive aggregates (count, sum, min, max, mean) are
+//!   [`Partial::finish`] of the range's partial.
+//! * Holistic percentiles take two phases. Phase A collects the partial
+//!   with bins and [`Partial::target`] locates the bin holding the
+//!   requested rank. Phase B collects only that bin's values (from the
+//!   fully covered chunks whose summary holds any, the cut chunks and the
+//!   tail) and selects the rank within them, so the data set is never
+//!   materialized or sorted.
 //!
-//! Exact chunk scans (the partially-covered chunks of every aggregate and
-//! the value collection of percentile phase B) decode each chunk into
-//! columns (`super::columnar`) and are independent per chunk,
-//! so they run on the worker pool when `QueryOptions::parallelism` (or
-//! `Config::query_threads`) asks for more than one thread. Both the serial
-//! and parallel paths produce one partial result *per chunk* and merge
-//! them in chunk order — the floating-point association is therefore
-//! identical for every pool size, and results are bit-for-bit
-//! reproducible.
+//! The association of a partial is fixed: summary bins in log order, then
+//! one partial per exactly decoded chunk merged in log order, then the
+//! tail. Those chunk decodes are independent, so they run on the worker
+//! pool when `QueryOptions::parallelism` (or `Config::query_threads`) asks
+//! for more than one thread; the pool hands the per-chunk partials back in
+//! submission order, so results are bit-for-bit identical for every pool
+//! size.
+//!
+//! The coordinator runs a node's two percentile phases as two queries
+//! ([`partial`], then [`values_in_bin`]), so each node captures two
+//! views. Under live ingest, phase B can therefore see records phase A
+//! did not count. A local percentile runs both phases on one view.
 
 use super::columnar::{self, ScanBuffers};
 use super::executor;
 use super::planner::{self, SummaryPlan};
 use super::view::{QueryView, RegionScan};
 use super::{Aggregate, AggregateResult, IndexMeta, QueryOptions, TimeRange};
+use crate::chunk_index::SummaryRef;
 use crate::error::{LoomError, Result};
+use crate::histogram::HistogramSpec;
 use crate::obs::{QueryPhases, Stopwatch};
 use crate::stats::QueryStats;
 use crate::summary::BinStats;
 
-/// Runs `task(bufs, chunk_addr)` over every chunk and returns the per-chunk
-/// partial results in chunk order, folding each chunk's scan counters into
-/// `stats` (also in chunk order).
-///
-/// With one worker the chunks are scanned inline on the calling thread
-/// with a single pooled scratch buffer; otherwise they fan out across the
-/// pool. Both paths run the same per-chunk closure and merge in the same
-/// order, so the result is independent of the worker count.
-fn for_chunks<T, F>(
-    view: &QueryView<'_>,
-    workers: usize,
-    chunks: &[u64],
-    stats: &mut QueryStats,
-    task: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&mut ScanBuffers, u64) -> Result<(T, RegionScan)> + Sync,
-{
-    let outputs = if workers <= 1 {
-        let mut bufs = view.bufs.acquire();
-        let mut outputs = Vec::with_capacity(chunks.len());
-        for &chunk_addr in chunks {
-            outputs.push(task(&mut bufs, chunk_addr)?);
-        }
-        view.bufs.release(bufs);
-        outputs
-    } else {
-        executor::map_chunks(view.bufs, workers, chunks, |bufs, chunk_addr| {
-            task(bufs, chunk_addr)
-        })?
-    };
-    let mut results = Vec::with_capacity(outputs.len());
-    for (value, out) in outputs {
-        out.fold_into(stats);
-        results.push(value);
-    }
-    Ok(results)
+/// The mergeable statistics of one index over one time range.
+#[derive(Debug)]
+pub(crate) struct Partial {
+    /// Binnable values folded in.
+    pub(crate) count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    /// Values per histogram bin; empty unless made with bins.
+    pub(crate) bins: Vec<u64>,
 }
 
-/// Decodes the chunk piece at `chunk_addr` and hands `each` the extracted
-/// value of every record of the index's source inside `range`, in chunk
-/// order.
-fn chunk_values(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    chunk_addr: u64,
-    range: TimeRange,
-    stop_after: Option<u64>,
-    bufs: &mut ScanBuffers,
-    each: impl FnMut(f64),
-) -> Result<RegionScan> {
-    let out = columnar::decode_chunk(view, meta, chunk_addr, range, None, stop_after, bufs)?;
-    bufs.cols.selected_values().for_each(each);
-    Ok(out.scan)
-}
-
-/// [`chunk_values`] over the unsummarized tail region, when the plan says
-/// it can hold records in range (always serial: the region is at most one
-/// chunk of not-yet-sealed data).
-fn tail_values(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    range: TimeRange,
-    plan: &SummaryPlan,
-    stats: &mut QueryStats,
-    phases: &mut QueryPhases,
-    mut each: impl FnMut(f64),
-) -> Result<()> {
-    if !plan.region_relevant {
-        return Ok(());
-    }
-    let tail_timer = Stopwatch::start();
-    let from = plan.region_start;
-    columnar::decode_forward(view, meta, from, range, None, stats, |bufs, _| {
-        bufs.cols.selected_values().for_each(&mut each)
-    })?;
-    phases.tail_scan_nanos += tail_timer.elapsed_nanos();
-    Ok(())
-}
-
-/// The per-bin record counts of an index over a time range, plus what
-/// percentile phase B needs to revisit the same chunks.
-struct BinCounts {
-    plan: SummaryPlan,
-    counts: Vec<u64>,
-    /// Chunks only partially inside the range (counted exactly).
-    partial_chunks: Vec<u64>,
-    stats: QueryStats,
-}
-
-/// Counts records per bin (bins as a CDF, §4.3): summary bins for chunks
-/// fully inside `range`, exact decode for partially covered chunks and
-/// the tail region.
-fn count_bins(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    range: TimeRange,
-    opts: QueryOptions,
-    phases: &mut QueryPhases,
-) -> Result<BinCounts> {
-    let mut stats = QueryStats {
-        workers_used: 1,
-        ..QueryStats::default()
-    };
-    let plan_timer = Stopwatch::start();
-    let plan = planner::plan(view, range)?;
-    phases.plan_nanos += plan_timer.elapsed_nanos();
-    let bin_count = meta.spec.bin_count();
-    let mut counts = vec![0u64; bin_count];
-    let mut partial_chunks: Vec<u64> = Vec::new();
-    let select_timer = Stopwatch::start();
-    planner::for_each_relevant_summary(
-        view,
-        &plan,
-        range,
-        &mut stats.summaries_scanned,
-        |summary, fully| {
-            if !summary.has_source(meta.source.0) {
-                return Ok(());
-            }
-            if fully {
-                if let Some(bins) = summary.index_bins(meta.id.0) {
-                    for (bin, s) in bins {
-                        counts[*bin as usize] += s.count;
-                    }
-                }
+impl Partial {
+    /// An empty partial; `with_bins` also counts values per bin of `spec`.
+    pub(crate) fn new(spec: &HistogramSpec, with_bins: bool) -> Self {
+        Partial {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            bins: if with_bins {
+                vec![0; spec.bin_count()]
             } else {
-                partial_chunks.push(summary.chunk_addr());
+                Vec::new()
+            },
+        }
+    }
+
+    /// Folds one exactly decoded value. A value `spec` cannot bin (NaN)
+    /// counts nowhere, just as a chunk summary drops it at seal, so no
+    /// answer depends on whether its chunk is sealed yet.
+    pub(crate) fn observe(&mut self, spec: &HistogramSpec, v: f64) {
+        if self.bins.is_empty() {
+            // `bin_of` is `None` exactly for NaN: skip the bin search.
+            if v.is_nan() {
+                return;
             }
-            Ok(())
-        },
-    )?;
-    phases.select_nanos += select_timer.elapsed_nanos();
-    view.obs.index.summary_probes(stats.summaries_scanned);
-    view.obs.index.chunk_hits(partial_chunks.len() as u64);
-    let workers = view.workers(opts.parallelism, partial_chunks.len());
-    stats.workers_used = stats.workers_used.max(workers as u64);
-    if workers > 1 {
-        view.obs.query.pool_tasks(partial_chunks.len() as u64);
-    }
-    let scan_timer = Stopwatch::start();
-    let count = |counts: &mut [u64], v: f64| {
-        if let Some(bin) = meta.spec.bin_of(v) {
-            counts[bin] += 1;
+        } else {
+            let Some(bin) = spec.bin_of(v) else {
+                return;
+            };
+            self.bins[bin] += 1;
         }
-    };
-    // One `counts`-shaped vector per chunk, summed in chunk order.
-    let per_chunk = for_chunks(view, workers, &partial_chunks, &mut stats, |bufs, addr| {
-        let mut chunk_counts = vec![0u64; bin_count];
-        let stop = Some(range.end);
-        let out = chunk_values(view, meta, addr, range, stop, bufs, |v| {
-            count(&mut chunk_counts, v)
-        })?;
-        Ok((chunk_counts, out))
-    })?;
-    for chunk_counts in per_chunk {
-        for (total, c) in counts.iter_mut().zip(chunk_counts) {
-            *total += c;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Folds bin `bin` of a summary whose chunk lies fully in the range.
+    pub(crate) fn fold_bin(&mut self, bin: u32, s: &BinStats) {
+        if let Some(c) = self.bins.get_mut(bin as usize) {
+            *c += s.count;
+        }
+        self.count += s.count;
+        self.sum += s.sum;
+        self.min = self.min.min(s.min);
+        self.max = self.max.max(s.max);
+    }
+
+    /// Folds in the partial of the next stretch of the log. Associative;
+    /// callers merge in log order, so sums associate the same way for
+    /// every pool size.
+    pub(crate) fn merge(&mut self, other: &Partial) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (c, o) in self.bins.iter_mut().zip(&other.bins) {
+            *c += o;
         }
     }
-    phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
-    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
-        count(&mut counts, v)
-    })?;
-    Ok(BinCounts {
-        plan,
-        counts,
-        partial_chunks,
-        stats,
-    })
+
+    /// The distributive aggregate `method`; `None` over no values.
+    pub(crate) fn finish(&self, method: Aggregate) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        Some(match method {
+            Aggregate::Count => self.count as f64,
+            Aggregate::Sum => self.sum,
+            Aggregate::Min => self.min,
+            Aggregate::Max => self.max,
+            Aggregate::Mean => self.sum / self.count as f64,
+            Aggregate::Percentile(_) => unreachable!("percentiles select from values_in_bin"),
+        })
+    }
+
+    /// Percentile phase A on a partial with bins: the bin holding the
+    /// nearest-rank `p`-th percentile and the value's 1-based rank inside
+    /// it, or `None` over no values.
+    pub(crate) fn target(&self, p: f64) -> Result<Option<(usize, u64)>> {
+        if !(0.0..=100.0).contains(&p) {
+            return Err(LoomError::InvalidQuery(format!(
+                "percentile {p} outside [0, 100]"
+            )));
+        }
+        if self.count == 0 {
+            return Ok(None);
+        }
+        let rank = ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut below = 0u64;
+        for (bin, &c) in self.bins.iter().enumerate() {
+            if below + c >= rank {
+                return Ok(Some((bin, rank - below)));
+            }
+            below += c;
+        }
+        Err(LoomError::Internal(format!(
+            "a partial of {} values has {below} in its bins",
+            self.count
+        )))
+    }
 }
 
-/// Computes the per-bin record counts for an index over a time range
-/// (the CDF of §4.3, exposed for composition — e.g., the distributed
-/// coordinator merges per-node bin counts before selecting a global
-/// percentile bin).
-pub(crate) fn bin_counts(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    range: TimeRange,
-    opts: QueryOptions,
-    phases: &mut QueryPhases,
-) -> Result<(Vec<u64>, QueryStats)> {
-    let counted = count_bins(view, meta, range, opts, phases)?;
-    Ok((counted.counts, counted.stats))
+/// Percentile phase B's last step: the `rank`-th smallest (1-based) of
+/// the values of `bin`.
+pub(crate) fn select_rank(mut values: Vec<f64>, bin: usize, rank: u64) -> Result<f64> {
+    if values.len() < rank as usize {
+        return Err(LoomError::Corrupt(format!(
+            "percentile phase B found {} values in bin {bin}, needed {rank}",
+            values.len()
+        )));
+    }
+    let (_, v, _) = values.select_nth_unstable_by(rank as usize - 1, f64::total_cmp);
+    Ok(*v)
 }
 
 /// Executes an indexed aggregate over `view`.
@@ -228,262 +180,235 @@ pub(crate) fn run(
     opts: QueryOptions,
     phases: &mut QueryPhases,
 ) -> Result<AggregateResult> {
-    match method {
-        Aggregate::Percentile(p) => {
-            if !(0.0..=100.0).contains(&p) {
-                return Err(LoomError::InvalidQuery(format!(
-                    "percentile {p} outside [0, 100]"
-                )));
-            }
-            percentile(view, meta, range, p, opts, phases)
-        }
-        _ => distributive(view, meta, range, method, opts, phases),
-    }
+    let mut pass = Pass::plan(view, meta, range, opts, phases)?;
+    let partial = pass.collect(matches!(method, Aggregate::Percentile(_)))?;
+    let value = match method {
+        Aggregate::Percentile(p) => match partial.target(p)? {
+            Some((bin, rank)) => Some(select_rank(pass.values_in_bin(bin)?, bin, rank)?),
+            None => None,
+        },
+        _ => partial.finish(method),
+    };
+    Ok(AggregateResult {
+        value,
+        count: partial.count,
+        stats: pass.stats,
+    })
 }
 
-/// Accumulator for distributive aggregates.
-#[derive(Debug, Default, Clone, Copy)]
-struct Acc {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+/// A node's distributive aggregate or percentile phase A: the partial of
+/// `range`, with per-bin counts when `with_bins`.
+pub(crate) fn partial(
+    view: &QueryView<'_>,
+    meta: &IndexMeta,
+    range: TimeRange,
+    with_bins: bool,
+    opts: QueryOptions,
+    phases: &mut QueryPhases,
+) -> Result<(Partial, QueryStats)> {
+    let mut pass = Pass::plan(view, meta, range, opts, phases)?;
+    let partial = pass.collect(with_bins)?;
+    Ok((partial, pass.stats))
 }
 
-impl Acc {
-    fn new() -> Self {
-        Acc {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
+/// A node's percentile phase B: the values of `bin` in `range`, reported
+/// as the query's matched records.
+pub(crate) fn values_in_bin(
+    view: &QueryView<'_>,
+    meta: &IndexMeta,
+    range: TimeRange,
+    bin: usize,
+    opts: QueryOptions,
+    phases: &mut QueryPhases,
+) -> Result<(Vec<f64>, QueryStats)> {
+    let mut pass = Pass::plan(view, meta, range, opts, phases)?;
+    let values = pass.values_in_bin(bin)?;
+    pass.stats.records_matched = values.len() as u64;
+    Ok((values, pass.stats))
+}
 
-    fn observe(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
+/// One aggregate's walk over a view: the plan it follows and the
+/// statistics and phase timings it accumulates.
+struct Pass<'q, 'a> {
+    view: &'q QueryView<'a>,
+    meta: &'q IndexMeta,
+    range: TimeRange,
+    opts: QueryOptions,
+    plan: SummaryPlan,
+    stats: QueryStats,
+    phases: &'q mut QueryPhases,
+}
 
-    fn fold_bin(&mut self, s: &BinStats) {
-        self.count += s.count;
-        self.sum += s.sum;
-        self.min = self.min.min(s.min);
-        self.max = self.max.max(s.max);
-    }
-
-    /// Folds another accumulator in (per-chunk partials merged in chunk
-    /// order so float association is the same on every pool size).
-    fn merge(&mut self, o: &Acc) {
-        self.count += o.count;
-        self.sum += o.sum;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-    }
-
-    fn finish(&self, method: Aggregate) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(match method {
-            Aggregate::Count => self.count as f64,
-            Aggregate::Sum => self.sum,
-            Aggregate::Min => self.min,
-            Aggregate::Max => self.max,
-            Aggregate::Mean => self.sum / self.count as f64,
-            Aggregate::Percentile(_) => unreachable!("handled separately"),
+impl<'q, 'a> Pass<'q, 'a> {
+    fn plan(
+        view: &'q QueryView<'a>,
+        meta: &'q IndexMeta,
+        range: TimeRange,
+        opts: QueryOptions,
+        phases: &'q mut QueryPhases,
+    ) -> Result<Self> {
+        let timer = Stopwatch::start();
+        let plan = planner::plan(view, range)?;
+        phases.plan_nanos += timer.elapsed_nanos();
+        Ok(Pass {
+            view,
+            meta,
+            range,
+            opts,
+            plan,
+            stats: QueryStats {
+                workers_used: 1,
+                ..QueryStats::default()
+            },
+            phases,
         })
     }
-}
 
-fn distributive(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    range: TimeRange,
-    method: Aggregate,
-    opts: QueryOptions,
-    phases: &mut QueryPhases,
-) -> Result<AggregateResult> {
-    let mut stats = QueryStats {
-        workers_used: 1,
-        ..QueryStats::default()
-    };
-    let plan_timer = Stopwatch::start();
-    let plan = planner::plan(view, range)?;
-    phases.plan_nanos += plan_timer.elapsed_nanos();
-    let mut acc = Acc::new();
-    let mut partial_chunks: Vec<u64> = Vec::new();
-
-    let select_timer = Stopwatch::start();
-    planner::for_each_relevant_summary(
-        view,
-        &plan,
-        range,
-        &mut stats.summaries_scanned,
-        |summary, fully| {
-            if !summary.has_source(meta.source.0) {
-                return Ok(());
-            }
-            if fully {
-                if let Some(bins) = summary.index_bins(meta.id.0) {
-                    for (_, s) in bins {
-                        acc.fold_bin(s);
-                    }
+    /// The partial of the whole range: summary bins of the fully covered
+    /// chunks, then the chunks the range cuts, then the tail.
+    fn collect(&mut self, with_bins: bool) -> Result<Partial> {
+        let meta = self.meta;
+        let spec = &*meta.spec;
+        let mut total = Partial::new(spec, with_bins);
+        let mut cut = Vec::new();
+        self.summaries(|summary, fully| {
+            if !fully {
+                cut.push(summary.chunk_addr());
+            } else if let Some(bins) = summary.index_bins(meta.id.0) {
+                for (bin, s) in bins {
+                    total.fold_bin(*bin, s);
                 }
-            } else {
-                partial_chunks.push(summary.chunk_addr());
             }
-            Ok(())
-        },
-    )?;
-
-    phases.select_nanos += select_timer.elapsed_nanos();
-    view.obs.index.summary_probes(stats.summaries_scanned);
-    view.obs.index.chunk_hits(partial_chunks.len() as u64);
-
-    // Exact aggregation for chunks only partially inside the time range:
-    // one partial accumulator per chunk, merged in chunk order, so float
-    // association is the same for every pool size.
-    let workers = view.workers(opts.parallelism, partial_chunks.len());
-    stats.workers_used = stats.workers_used.max(workers as u64);
-    if workers > 1 {
-        view.obs.query.pool_tasks(partial_chunks.len() as u64);
-    }
-    let scan_timer = Stopwatch::start();
-    let per_chunk = for_chunks(view, workers, &partial_chunks, &mut stats, |bufs, addr| {
-        let mut chunk_acc = Acc::new();
-        let stop = Some(range.end);
-        let out = chunk_values(view, meta, addr, range, stop, bufs, |v| {
-            chunk_acc.observe(v)
         })?;
-        Ok((chunk_acc, out))
-    })?;
-    for chunk_acc in &per_chunk {
-        acc.merge(chunk_acc);
-    }
-    phases.chunk_scan_nanos += scan_timer.elapsed_nanos();
-    let mut region_acc = Acc::new();
-    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
-        region_acc.observe(v)
-    })?;
-    acc.merge(&region_acc);
-
-    Ok(AggregateResult {
-        value: acc.finish(method),
-        count: acc.count,
-        stats,
-    })
-}
-
-fn percentile(
-    view: &QueryView<'_>,
-    meta: &IndexMeta,
-    range: TimeRange,
-    p: f64,
-    opts: QueryOptions,
-    phases: &mut QueryPhases,
-) -> Result<AggregateResult> {
-    // Phase A: per-bin counts across the range (bins as a CDF).
-    let BinCounts {
-        plan,
-        counts,
-        partial_chunks,
-        mut stats,
-    } = count_bins(view, meta, range, opts, phases)?;
-    let bin_count = counts.len();
-
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return Ok(AggregateResult {
-            value: None,
-            count: 0,
-            stats,
-        });
-    }
-
-    // Nearest-rank percentile: the r-th smallest value, 1-based.
-    let rank = ((p / 100.0 * total as f64).ceil() as u64).clamp(1, total);
-    let mut cumulative = 0u64;
-    let mut target_bin = bin_count - 1;
-    for (bin, c) in counts.iter().enumerate() {
-        if cumulative + c >= rank {
-            target_bin = bin;
-            break;
+        let fresh = || Partial::new(spec, with_bins);
+        let observe = |p: &mut Partial, v: f64| p.observe(spec, v);
+        for chunk in self.for_chunks(&cut, Some(self.range.end), fresh, observe)? {
+            total.merge(&chunk);
         }
-        cumulative += c;
+        total.merge(&self.tail(fresh(), observe)?);
+        Ok(total)
     }
-    let rank_in_bin = rank - cumulative; // 1-based within the target bin
 
-    // Phase B: collect only the target bin's values and select the rank.
-    // Memory is bounded by the number of values in one bin within the
-    // range — small for tail percentiles by construction.
-    //
-    // Revisit summaries: scan only the fully-covered chunks that have
-    // values in the target bin, plus the partial chunks (already filtered
-    // by time above, re-filtered exactly here).
-    let mut revisited = 0u64;
-    let mut phase_b_chunks: Vec<u64> = Vec::new();
-    let select_b_timer = Stopwatch::start();
-    planner::for_each_relevant_summary(view, &plan, range, &mut revisited, |summary, fully| {
-        if !fully {
-            return Ok(()); // appended below, in partial-chunk order
-        }
-        if let Some(bins) = summary.index_bins(meta.id.0) {
-            if bins
-                .iter()
-                .any(|(bin, s)| *bin == target_bin as u32 && s.count > 0)
-            {
-                phase_b_chunks.push(summary.chunk_addr());
+    /// Percentile phase B: the values of `bin` in the range, in log order.
+    fn values_in_bin(&mut self, bin: usize) -> Result<Vec<f64>> {
+        let meta = self.meta;
+        let spec = &*meta.spec;
+        let mut chunks = Vec::new();
+        self.summaries(|summary, fully| {
+            let holds_bin = || {
+                summary
+                    .index_bins(meta.id.0)
+                    .is_some_and(|bins| bins.iter().any(|(b, s)| *b as usize == bin && s.count > 0))
+            };
+            if !fully || holds_bin() {
+                chunks.push(summary.chunk_addr());
             }
-        }
+        })?;
+        let keep = |values: &mut Vec<f64>, v: f64| {
+            if spec.bin_of(v) == Some(bin) {
+                values.push(v);
+            }
+        };
+        // No early stop: a fully covered chunk has nothing past the range,
+        // and reading the cut ones to the end keeps `records_scanned` what
+        // the equivalence suites pin.
+        let values = self.for_chunks(&chunks, None, Vec::new, keep)?.concat();
+        self.tail(values, keep)
+    }
+
+    /// Hands `f` every summary of the plan whose chunk overlaps the range
+    /// and holds the index's source, with whether the range covers it.
+    fn summaries(&mut self, mut f: impl FnMut(SummaryRef<'_>, bool)) -> Result<()> {
+        let timer = Stopwatch::start();
+        let source = self.meta.source.0;
+        let mut visited = 0;
+        planner::for_each_relevant_summary(
+            self.view,
+            &self.plan,
+            self.range,
+            &mut visited,
+            |summary, fully| {
+                if summary.has_source(source) {
+                    f(summary, fully);
+                }
+                Ok(())
+            },
+        )?;
+        self.stats.summaries_scanned += visited;
+        self.phases.select_nanos += timer.elapsed_nanos();
+        self.view.obs.index.summary_probes(visited);
         Ok(())
-    })?;
-    phase_b_chunks.extend_from_slice(&partial_chunks);
-    stats.summaries_scanned += revisited;
-    phases.select_nanos += select_b_timer.elapsed_nanos();
-    view.obs.index.summary_probes(revisited);
-    view.obs.index.chunk_hits(phase_b_chunks.len() as u64);
-
-    let workers = view.workers(opts.parallelism, phase_b_chunks.len());
-    stats.workers_used = stats.workers_used.max(workers as u64);
-    if workers > 1 {
-        view.obs.query.pool_tasks(phase_b_chunks.len() as u64);
     }
-    let scan_b_timer = Stopwatch::start();
-    let in_target = |v: f64| meta.spec.bin_of(v) == Some(target_bin);
-    // No early stop: a fully-covered chunk has nothing past the range,
-    // and reading the partial ones to the end keeps `records_scanned`
-    // what the equivalence suites pin.
-    let per_chunk = for_chunks(view, workers, &phase_b_chunks, &mut stats, |bufs, addr| {
-        let mut in_bin: Vec<f64> = Vec::new();
-        let out = chunk_values(view, meta, addr, range, None, bufs, |v| {
-            if in_target(v) {
-                in_bin.push(v);
+
+    /// Decodes each of `chunks` and folds its selected values into a
+    /// fresh `init()` with `each`, returning one result per chunk in the
+    /// order of `chunks` and folding the scan counters into the stats in
+    /// that order.
+    ///
+    /// With one worker the chunks are decoded inline with a single pooled
+    /// scratch buffer; otherwise they fan out across the pool. Both paths
+    /// run the same per-chunk task and return the same order, so a
+    /// caller's merge is independent of the worker count.
+    fn for_chunks<T: Send>(
+        &mut self,
+        chunks: &[u64],
+        stop_after: Option<u64>,
+        init: impl Fn() -> T + Sync,
+        each: impl Fn(&mut T, f64) + Sync,
+    ) -> Result<Vec<T>> {
+        let (view, meta, range) = (self.view, self.meta, self.range);
+        view.obs.index.chunk_hits(chunks.len() as u64);
+        let workers = view.workers(self.opts.parallelism, chunks.len());
+        self.stats.workers_used = self.stats.workers_used.max(workers as u64);
+        let timer = Stopwatch::start();
+        let task = |bufs: &mut ScanBuffers, addr: u64| -> Result<(T, RegionScan)> {
+            let out = columnar::decode_chunk(view, meta, addr, range, None, stop_after, bufs)?;
+            let mut acc = init();
+            bufs.cols.selected_values().for_each(|v| each(&mut acc, v));
+            Ok((acc, out.scan))
+        };
+        let outputs = if workers <= 1 {
+            let mut bufs = view.bufs.acquire();
+            let mut outputs = Vec::with_capacity(chunks.len());
+            for &addr in chunks {
+                outputs.push(task(&mut bufs, addr)?);
             }
-        })?;
-        Ok((in_bin, out))
-    })?;
-    let mut values: Vec<f64> = per_chunk.into_iter().flatten().collect();
-    phases.chunk_scan_nanos += scan_b_timer.elapsed_nanos();
-    tail_values(view, meta, range, &plan, &mut stats, phases, |v| {
-        if in_target(v) {
-            values.push(v);
-        }
-    })?;
-
-    if values.len() < rank_in_bin as usize {
-        return Err(LoomError::Corrupt(format!(
-            "percentile phase B found {} values in bin {target_bin}, expected at least {rank_in_bin}",
-            values.len()
-        )));
+            view.bufs.release(bufs);
+            outputs
+        } else {
+            view.obs.query.pool_tasks(chunks.len() as u64);
+            executor::map_chunks(view.bufs, workers, chunks, task)?
+        };
+        self.phases.chunk_scan_nanos += timer.elapsed_nanos();
+        let stats = &mut self.stats;
+        Ok(outputs
+            .into_iter()
+            .map(|(acc, scan)| {
+                scan.fold_into(stats);
+                acc
+            })
+            .collect())
     }
-    let k = rank_in_bin as usize - 1;
-    let (_, v, _) = values.select_nth_unstable_by(k, |a, b| a.total_cmp(b));
-    Ok(AggregateResult {
-        value: Some(*v),
-        count: total,
-        stats,
-    })
+
+    /// Folds the selected values of the unsummarized tail into `acc` with
+    /// `each`, when the plan says the tail can hold records in range
+    /// (always serial: it is at most one chunk of not-yet-sealed data).
+    fn tail<T>(&mut self, mut acc: T, each: impl Fn(&mut T, f64)) -> Result<T> {
+        if !self.plan.region_relevant {
+            return Ok(acc);
+        }
+        let timer = Stopwatch::start();
+        let from = self.plan.region_start;
+        columnar::decode_forward(
+            self.view,
+            self.meta,
+            from,
+            self.range,
+            None,
+            &mut self.stats,
+            |bufs, _| bufs.cols.selected_values().for_each(|v| each(&mut acc, v)),
+        )?;
+        self.phases.tail_scan_nanos += timer.elapsed_nanos();
+        Ok(acc)
+    }
 }

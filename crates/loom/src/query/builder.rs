@@ -19,15 +19,19 @@
 //! ```
 //!
 //! Chainers configure the query; the terminal methods [`Query::scan`],
-//! [`Query::aggregate`], and [`Query::bin_counts`] execute it. Terminals
-//! are also the self-observability boundary: each one times the whole
-//! query, records it in the engine's metrics registry, and captures a
-//! slow-query trace when it crosses
+//! [`Query::aggregate`], and [`Query::bin_counts`] execute it, as do the
+//! crate-internal node terminals the [`coordinator`](crate::coordinator)
+//! calls (`partial`, `values_in_bin`). All of them run through one path:
+//! resolve the index, hold the shard's tier read-lock, capture a view,
+//! run the operator, observe. Terminals are also the self-observability
+//! boundary: each one times the whole query, records it in the engine's
+//! metrics registry, and captures a slow-query trace when it crosses
 //! [`Config::slow_query_nanos`](crate::Config::slow_query_nanos).
 
+use super::aggregate::{self, Partial};
 use super::view::QueryView;
 use super::{
-    aggregate, indexed_scan, raw_scan, Aggregate, AggregateResult, QueryOptions, Record, TimeRange,
+    indexed_scan, raw_scan, Aggregate, AggregateResult, IndexMeta, QueryOptions, Record, TimeRange,
     ValueRange,
 };
 use crate::engine::Loom;
@@ -128,46 +132,25 @@ impl<'a> Query<'a> {
     where
         F: FnMut(Record<'_>),
     {
-        let timer = Stopwatch::start();
-        let mut phases = QueryPhases::default();
-        match self.index {
-            Some(index) => {
-                let values = self.values.unwrap_or_else(ValueRange::all);
-                let meta = self.loom.index_meta(self.source, index)?;
-                let shard = self.loom.shard(self.source.0);
-                // Blocks the compactor from punching hot chunk bytes for
-                // the query's lifetime: the captured cold snapshot plus
-                // unpunched hot bytes together cover every chunk.
-                let _tier = shard.tier_lock.read();
-                let view = QueryView::capture_from(shard, &meta.source_shared)?;
-                let mut stats = indexed_scan::run(
-                    &view,
-                    &meta,
-                    self.range,
-                    values,
-                    self.opts,
-                    &mut phases,
-                    &mut f,
-                )?;
-                stats.shards_fanned_out = 1;
-                self.observe(QueryKind::IndexedScan, Some(index), &stats, phases, &timer);
-                Ok(stats)
+        let Some(index) = self.index else {
+            if self.values.is_some() {
+                return Err(LoomError::InvalidQuery(
+                    "value_range requires an index; add .index(...) to the query".into(),
+                ));
             }
-            None => {
-                if self.values.is_some() {
-                    return Err(LoomError::InvalidQuery(
-                        "value_range requires an index; add .index(...) to the query".into(),
-                    ));
-                }
-                let shard = self.loom.shard(self.source.0);
-                let _tier = shard.tier_lock.read();
-                let view = QueryView::capture(shard, self.source)?;
-                let mut stats = raw_scan::run(&view, self.source, self.range, f)?;
-                stats.shards_fanned_out = 1;
-                self.observe(QueryKind::RawScan, None, &stats, phases, &timer);
-                Ok(stats)
-            }
-        }
+            let ((), stats) = self.execute(QueryKind::RawScan, None, |view, _| {
+                Ok(((), raw_scan::run(view, self.source, self.range, f)?))
+            })?;
+            return Ok(stats);
+        };
+        let values = self.values.unwrap_or_else(ValueRange::all);
+        let meta = self.loom.index_meta(self.source, index)?;
+        let ((), stats) = self.execute(QueryKind::IndexedScan, Some(&meta), |view, phases| {
+            let stats =
+                indexed_scan::run(view, &meta, self.range, values, self.opts, phases, &mut f)?;
+            Ok(((), stats))
+        })?;
+        Ok(stats)
     }
 
     /// Executes the query as an aggregate over the indexed values
@@ -185,30 +168,16 @@ impl<'a> Query<'a> {
     /// [`define_index_desc`](Loom::define_index_desc) instead), and
     /// [`LoomError::CorruptLog`] on a chunk that fails validation.
     pub fn aggregate(self, method: Aggregate) -> Result<AggregateResult> {
-        let timer = Stopwatch::start();
-        let mut phases = QueryPhases::default();
-        let index = self.require_index("aggregate")?;
-        self.reject_value_range("aggregate")?;
-        let meta = self.loom.index_meta(self.source, index)?;
-        let shard = self.loom.shard(self.source.0);
-        let _tier = shard.tier_lock.read();
-        let view = QueryView::capture_from(shard, &meta.source_shared)?;
-        let mut result = aggregate::run(&view, &meta, self.range, method, self.opts, &mut phases)?;
-        result.stats.shards_fanned_out = 1;
-        self.observe(
-            QueryKind::Aggregate,
-            Some(index),
-            &result.stats,
-            phases,
-            &timer,
-        );
-        Ok(result)
+        let (result, stats) = self.indexed(QueryKind::Aggregate, |view, meta, phases| {
+            let result = aggregate::run(view, meta, self.range, method, self.opts, phases)?;
+            Ok((result, result.stats))
+        })?;
+        Ok(AggregateResult { stats, ..result })
     }
 
     /// Executes the query as a per-bin record count — the
-    /// histogram-as-CDF of §4.3, the composition primitive behind
-    /// distributed holistic aggregates (see
-    /// [`coordinator`](crate::coordinator)). Requires
+    /// histogram-as-CDF of §4.3 that distributed percentiles merge across
+    /// nodes (see [`coordinator`](crate::coordinator)). Requires
     /// [`index`](Self::index); a [`value_range`](Self::value_range) is
     /// not supported here and errors.
     ///
@@ -222,61 +191,89 @@ impl<'a> Query<'a> {
     /// [`define_index_desc`](Loom::define_index_desc) instead), and
     /// [`LoomError::CorruptLog`] on a chunk that fails validation.
     pub fn bin_counts(self) -> Result<(Vec<u64>, QueryStats)> {
-        let timer = Stopwatch::start();
-        let mut phases = QueryPhases::default();
-        let index = self.require_index("bin_counts")?;
-        self.reject_value_range("bin_counts")?;
-        let meta = self.loom.index_meta(self.source, index)?;
-        let shard = self.loom.shard(self.source.0);
-        let _tier = shard.tier_lock.read();
-        let view = QueryView::capture_from(shard, &meta.source_shared)?;
-        let (counts, mut stats) =
-            aggregate::bin_counts(&view, &meta, self.range, self.opts, &mut phases)?;
-        stats.shards_fanned_out = 1;
-        self.observe(QueryKind::BinCounts, Some(index), &stats, phases, &timer);
-        Ok((counts, stats))
+        let (partial, stats) = self.partial(true)?;
+        Ok((partial.bins, stats))
     }
 
-    fn require_index(&self, terminal: &str) -> Result<IndexId> {
-        self.index.ok_or_else(|| {
-            LoomError::InvalidQuery(format!(
-                "{terminal} requires an index; add .index(...) to the query"
-            ))
+    /// A coordinator node's first (often only) query: the [`Partial`] of
+    /// the range, with per-bin counts when `with_bins`.
+    pub(crate) fn partial(self, with_bins: bool) -> Result<(Partial, QueryStats)> {
+        let kind = if with_bins {
+            QueryKind::BinCounts
+        } else {
+            QueryKind::Aggregate
+        };
+        self.indexed(kind, |view, meta, phases| {
+            aggregate::partial(view, meta, self.range, with_bins, self.opts, phases)
         })
     }
 
-    fn reject_value_range(&self, terminal: &str) -> Result<()> {
+    /// A coordinator node's percentile phase B: the values of `bin` in the
+    /// range.
+    pub(crate) fn values_in_bin(self, bin: usize) -> Result<(Vec<f64>, QueryStats)> {
+        self.indexed(QueryKind::Aggregate, |view, meta, phases| {
+            aggregate::values_in_bin(view, meta, self.range, bin, self.opts, phases)
+        })
+    }
+
+    /// [`execute`](Self::execute) for the terminals that aggregate an
+    /// index: they require one and take no value range.
+    fn indexed<T>(
+        &self,
+        kind: QueryKind,
+        body: impl FnOnce(&QueryView<'_>, &IndexMeta, &mut QueryPhases) -> Result<(T, QueryStats)>,
+    ) -> Result<(T, QueryStats)> {
+        let terminal = kind.as_str();
+        let index = self.index.ok_or_else(|| {
+            LoomError::InvalidQuery(format!(
+                "{terminal} requires an index; add .index(...) to the query"
+            ))
+        })?;
         if self.values.is_some() {
             return Err(LoomError::InvalidQuery(format!(
                 "value_range is not supported for {terminal}"
             )));
         }
-        Ok(())
+        let meta = self.loom.index_meta(self.source, index)?;
+        self.execute(kind, Some(&meta), |view, phases| body(view, &meta, phases))
     }
 
-    fn observe(
+    /// The one way a terminal runs: hold the home shard's tier read-lock,
+    /// capture a view (through `meta`'s source handle when there is an
+    /// index), run `body`, then stamp the fan-out and observe the query.
+    fn execute<T>(
         &self,
         kind: QueryKind,
-        index: Option<IndexId>,
-        stats: &QueryStats,
-        phases: QueryPhases,
-        timer: &Stopwatch,
-    ) {
+        meta: Option<&IndexMeta>,
+        body: impl FnOnce(&QueryView<'_>, &mut QueryPhases) -> Result<(T, QueryStats)>,
+    ) -> Result<(T, QueryStats)> {
+        let timer = Stopwatch::start();
+        let mut phases = QueryPhases::default();
+        let shard = self.loom.shard(self.source.0);
+        // Blocks the compactor from punching hot chunk bytes for the
+        // query's lifetime: the captured cold snapshot plus unpunched hot
+        // bytes together cover every chunk.
+        let _tier = shard.tier_lock.read();
+        let view = match meta {
+            Some(meta) => QueryView::capture_from(shard, &meta.source_shared)?,
+            None => QueryView::capture(shard, self.source)?,
+        };
+        let (out, mut stats) = body(&view, &mut phases)?;
+        stats.shards_fanned_out = 1;
         // Observed into the home shard's registry: a single-source query
         // runs entirely on one shard, so its metrics land there (the
         // slow-query ring behind it is engine-global).
-        self.loom
-            .shard(self.source.0)
-            .obs
-            .observe_query(QueryObservation {
-                kind,
-                source: self.source.0,
-                index: index.map(|i| i.0),
-                used_ts_index: self.opts.use_ts_index && index.is_some(),
-                used_chunk_index: self.opts.use_chunk_index && index.is_some(),
-                stats: *stats,
-                phases,
-                total_nanos: timer.elapsed_nanos(),
-            });
+        let index = meta.map(|m| m.id.0);
+        shard.obs.observe_query(QueryObservation {
+            kind,
+            source: self.source.0,
+            index,
+            used_ts_index: self.opts.use_ts_index && index.is_some(),
+            used_chunk_index: self.opts.use_chunk_index && index.is_some(),
+            stats,
+            phases,
+            total_nanos: timer.elapsed_nanos(),
+        });
+        Ok((out, stats))
     }
 }

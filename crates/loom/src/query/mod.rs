@@ -26,6 +26,7 @@ mod planner;
 mod raw_scan;
 mod view;
 
+pub(crate) use aggregate::{select_rank, Partial};
 pub use builder::Query;
 
 use std::num::NonZeroUsize;
@@ -132,7 +133,7 @@ pub struct Record<'a> {
 /// bins-as-CDF strategy of §4.3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Aggregate {
-    /// Number of records with an extractable indexed value.
+    /// Number of records whose indexed value is binnable (non-NaN).
     Count,
     /// Sum of indexed values.
     Sum,
@@ -231,8 +232,8 @@ impl Loom {
     /// extractor).
     ///
     /// Useful for post-processing scan results with the exact semantics
-    /// the index used (e.g., the distributed coordinator re-extracts
-    /// values from fetched records).
+    /// the index used, e.g. to recompute the value of each record an
+    /// indexed scan delivered.
     pub fn extract_value(
         &self,
         source: SourceId,

@@ -788,6 +788,79 @@ fn bin_counts_sum_to_indexed_record_count() {
     assert_eq!(counts, reference);
 }
 
+/// NaN cannot be binned, so a sealed chunk's summary leaves it out; the
+/// exact decode of the tail and of a chunk the range cuts must leave it
+/// out too, or an answer would change when its chunk seals.
+#[test]
+fn nan_values_count_nowhere_sealed_or_not() {
+    let mut env = TestEnv::new("nan");
+    let s = env.loom.define_source("src");
+    let idx = env
+        .loom
+        .define_index(s, extract::f64_le_at(0), latency_spec())
+        .unwrap();
+    let mut pushed = Vec::new();
+    for i in 0..50u64 {
+        let ts = env.loom.clock().advance(10);
+        let v = if i % 5 == 0 { f64::NAN } else { i as f64 };
+        env.writer.push(s, &v.to_le_bytes()).unwrap();
+        pushed.push((ts, v));
+    }
+    let ranges = [
+        TimeRange::new(0, u64::MAX),
+        TimeRange::new(pushed[7].0, pushed[33].0),
+    ];
+    let methods = [
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Min,
+        Aggregate::Max,
+        Aggregate::Mean,
+        Aggregate::Percentile(100.0),
+    ];
+    let answers = |loom: &Loom| {
+        let mut out = Vec::new();
+        for range in ranges {
+            for m in methods {
+                let r = loom.query(s).index(idx).range(range).aggregate(m).unwrap();
+                out.push((r.value.map(f64::to_bits), r.count));
+            }
+        }
+        out
+    };
+    let unsealed = answers(&env.loom);
+    env.writer.seal_active_chunk().unwrap();
+    let sealed = answers(&env.loom);
+    assert_eq!(unsealed, sealed, "answers changed when the chunk sealed");
+
+    let mut expected = Vec::new();
+    for range in ranges {
+        let kept: Vec<f64> = pushed
+            .iter()
+            .filter(|(ts, v)| range.contains(*ts) && !v.is_nan())
+            .map(|(_, v)| *v)
+            .collect();
+        let n = kept.len() as f64;
+        let sum: f64 = kept.iter().sum();
+        let max = kept.iter().copied().reduce(f64::max);
+        for value in [
+            Some(n),
+            Some(sum),
+            kept.iter().copied().reduce(f64::min),
+            max,
+        ] {
+            expected.push((value.map(f64::to_bits), kept.len() as u64));
+        }
+        expected.push((Some((sum / n).to_bits()), kept.len() as u64));
+        expected.push((max.map(f64::to_bits), kept.len() as u64));
+    }
+    assert_eq!(sealed, expected);
+    assert_eq!(
+        sealed[..2],
+        [(Some(40f64.to_bits()), 40), (Some(1000f64.to_bits()), 40)]
+    );
+}
+
 #[test]
 fn zero_length_payloads_are_valid_records() {
     let mut env = TestEnv::new("zero-len");

@@ -562,3 +562,221 @@ proptest! {
         check_reopen_equivalence(values, gaps, win, crash)?;
     }
 }
+
+/// The aggregates and bin counts a split check compares.
+const SPLIT_AGGS: [Aggregate; 9] = [
+    Aggregate::Count,
+    Aggregate::Sum,
+    Aggregate::Min,
+    Aggregate::Max,
+    Aggregate::Mean,
+    Aggregate::Percentile(0.0),
+    Aggregate::Percentile(50.0),
+    Aggregate::Percentile(99.0),
+    Aggregate::Percentile(100.0),
+];
+
+/// One engine of a split check: an integer index (descriptor) and a
+/// fractional one (closure) over the same source.
+struct SplitEngine {
+    loom: Loom,
+    writer: loom::LoomWriter,
+    dir: std::path::PathBuf,
+    source: SourceId,
+    int: IndexId,
+    frac: IndexId,
+}
+
+impl SplitEngine {
+    fn open(threads: usize) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "loom-prop-split-{}-{}",
+            std::process::id(),
+            rand_suffix()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = Config::small(&dir).with_query_threads(threads);
+        let (loom, writer) = Loom::open_with_clock(config, Clock::manual(0)).unwrap();
+        let source = loom.define_source("src");
+        let spec = HistogramSpec::uniform(0.0, 4_294_967_296.0, 8).unwrap();
+        let int = loom
+            .define_index_desc(source, loom::ExtractorDesc::U64Le(0), spec.clone())
+            .unwrap();
+        let frac = loom
+            .define_index(source, extract::f64_le_at(8), spec)
+            .unwrap();
+        SplitEngine {
+            loom,
+            writer,
+            dir,
+            source,
+            int,
+            frac,
+        }
+    }
+
+    /// Pushes `v` (and `v / 7`, which no float sum adds exactly) at `ts`.
+    fn push(&mut self, ts: u64, v: u32) {
+        self.loom.clock().set(ts);
+        let mut payload = [0u8; 16];
+        payload[..8].copy_from_slice(&u64::from(v).to_le_bytes());
+        payload[8..].copy_from_slice(&(f64::from(v) / 7.0).to_le_bytes());
+        self.writer.push(self.source, &payload).unwrap();
+    }
+
+    fn query(&self, index: IndexId, range: TimeRange) -> loom::Query<'_> {
+        self.loom.query(self.source).index(index).range(range)
+    }
+
+    fn node(&self, index: IndexId) -> loom::coordinator::Node {
+        loom::coordinator::Node {
+            name: self.dir.display().to_string(),
+            loom: self.loom.clone(),
+            source: self.source,
+            index,
+        }
+    }
+}
+
+impl Drop for SplitEngine {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// One engine holding every record versus a coordinator over the same
+/// records split by time across 1–4 engines, every engine at the same
+/// pool size. The values are integers below 2^32, so every `Sum` is exact
+/// under any association: each aggregate and the bin counts must equal
+/// brute force and `to_bits`-equal the coordinator's answer. The
+/// fractional index pins the log-order merge instead: its sums are not
+/// exact, so its answers at pool 2 and 4 must equal pool 1's bit for bit.
+fn check_split_invariance(
+    values: Vec<u32>,
+    gaps: Vec<u8>,
+    cuts: Vec<usize>,
+    win: (usize, usize),
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let mut whole = SplitEngine::open(threads);
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (values.len() + 1)).collect();
+    bounds.sort_unstable();
+    let mut nodes: Vec<SplitEngine> = (0..=bounds.len())
+        .map(|_| SplitEngine::open(threads))
+        .collect();
+    let mut pushed: Vec<(u64, u32)> = Vec::new();
+    let mut ts = 100u64;
+    for (i, v) in values.iter().enumerate() {
+        ts += 1 + u64::from(gaps[i % gaps.len()]);
+        whole.push(ts, *v);
+        let node = bounds.iter().filter(|b| **b <= i).count();
+        nodes[node].push(ts, *v);
+        pushed.push((ts, *v));
+    }
+
+    let coord = |index: fn(&SplitEngine) -> IndexId| {
+        let split = nodes.iter().map(|e| e.node(index(e))).collect();
+        loom::coordinator::Coordinator::new(split).unwrap()
+    };
+    let split = (coord(|e| e.int), coord(|e| e.frac));
+    // The random window, plus two inner ones that usually cut a sealed
+    // chunk at each end (the pieces whose merge order matters).
+    let len = values.len();
+    let (lo, hi) = (win.0 % len, win.1 % len);
+    for (lo, hi) in [
+        (lo.min(hi), lo.max(hi)),
+        (len / 5, len * 4 / 5),
+        (len / 3, len * 2 / 3),
+    ] {
+        let range = TimeRange::new(pushed[lo].0, pushed[hi].0);
+        check_split_range(&whole, &nodes, &split, &pushed, range)?;
+    }
+    Ok(())
+}
+
+/// [`check_split_invariance`] over one range.
+fn check_split_range(
+    whole: &SplitEngine,
+    nodes: &[SplitEngine],
+    (int_coord, frac_coord): &(
+        loom::coordinator::Coordinator,
+        loom::coordinator::Coordinator,
+    ),
+    pushed: &[(u64, u32)],
+    range: TimeRange,
+) -> Result<(), TestCaseError> {
+    let mut in_range: Vec<f64> = pushed
+        .iter()
+        .filter(|(t, _)| range.contains(*t))
+        .map(|(_, v)| f64::from(*v))
+        .collect();
+    in_range.sort_by(f64::total_cmp);
+    let n = in_range.len();
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    for method in SPLIT_AGGS {
+        let local = whole.query(whole.int, range).aggregate(method).unwrap();
+        let split = int_coord.aggregate(range, method).unwrap();
+        let sum: f64 = in_range.iter().sum();
+        let expected = (n > 0).then(|| match method {
+            Aggregate::Count => n as f64,
+            Aggregate::Sum => sum,
+            Aggregate::Min => in_range[0],
+            Aggregate::Max => in_range[n - 1],
+            Aggregate::Mean => sum / n as f64,
+            Aggregate::Percentile(p) => {
+                in_range[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1]
+            }
+        });
+        prop_assert_eq!(
+            bits(local.value),
+            bits(expected),
+            "{:?} vs brute force",
+            method
+        );
+        prop_assert_eq!(bits(split.value), bits(local.value), "{:?} split", method);
+        prop_assert_eq!((local.count, split.count), (n as u64, n as u64));
+
+        let frac: Vec<_> = [1, 2, 4]
+            .map(|p| {
+                let q = whole.query(whole.frac, range).parallelism(p);
+                let r = q.aggregate(method).unwrap();
+                (bits(r.value), r.count)
+            })
+            .to_vec();
+        prop_assert_eq!(&frac[1..], &[frac[0], frac[0]], "{:?} across pools", method);
+        if !matches!(method, Aggregate::Sum | Aggregate::Mean) {
+            let r = frac_coord.aggregate(range, method).unwrap();
+            prop_assert_eq!((bits(r.value), r.count), frac[0], "{:?} frac split", method);
+        }
+    }
+
+    let spec = whole.loom.index_spec(whole.source, whole.int).unwrap();
+    let mut expected = vec![0u64; spec.bin_count()];
+    for v in &in_range {
+        expected[spec.bin_of(*v).unwrap()] += 1;
+    }
+    let mut merged = vec![0u64; spec.bin_count()];
+    for node in nodes {
+        let (counts, _) = node.query(node.int, range).bin_counts().unwrap();
+        merged.iter_mut().zip(counts).for_each(|(m, c)| *m += c);
+    }
+    let (local, _) = whole.query(whole.int, range).bin_counts().unwrap();
+    prop_assert_eq!(&local, &expected);
+    prop_assert_eq!(&merged, &expected);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn aggregates_are_invariant_under_time_splits(
+        values in proptest::collection::vec(any::<u32>(), 1..600),
+        gaps in proptest::collection::vec(0u8..20, 1..8),
+        cuts in proptest::collection::vec(0usize..600, 0..4),
+        win in (0usize..600, 0usize..600),
+        pool in 0usize..3,
+    ) {
+        check_split_invariance(values, gaps, cuts, win, [1, 2, 4][pool])?;
+    }
+}
