@@ -16,6 +16,9 @@
 //!    chunk-decode fork, no opt-out.
 //! 5. failpoint site-name uniqueness (one owner per name).
 //! 6. no `Config { .. }` literals outside the config module.
+//! 7. `std::arch` and `#[target_feature]` only in the CRC32 kernel
+//!    file (`durability/format.rs`), whose `unsafe` blocks rule 1
+//!    already holds to `// SAFETY:` comments.
 //!
 //! **Semantic passes**:
 //! * [`passes::lock_order`] — extracts nested `Mutex`/`RwLock` guard
@@ -79,6 +82,8 @@ pub enum Rule {
     ErrorSurface,
     /// Inline FNV-1a constant outside the blessed implementations.
     FnvDrift,
+    /// `std::arch` or `#[target_feature]` outside the CRC32 kernel file.
+    ArchConfinement,
 }
 
 impl Rule {
@@ -96,6 +101,7 @@ impl Rule {
             Rule::Registry => "registry-consistency",
             Rule::ErrorSurface => "error-surface",
             Rule::FnvDrift => "fnv-drift",
+            Rule::ArchConfinement => "arch-confinement",
         }
     }
 }
@@ -306,6 +312,7 @@ pub fn check_all(files: &[SourceFile], baselines: &Baselines) -> Vec<Violation> 
         out.extend(passes::basic::check_seqcst(f));
         out.extend(passes::basic::check_deprecated_api(f));
         out.extend(passes::basic::check_config_literal(f));
+        out.extend(passes::basic::check_arch_confinement(f));
     }
     out.extend(passes::basic::check_unwrap_ratchet(
         files,

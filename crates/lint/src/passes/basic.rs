@@ -274,6 +274,50 @@ pub fn check_config_literal(file: &SourceFile) -> Vec<Violation> {
     out
 }
 
+/// The one file allowed CPU-specific code: the CRC32 kernels.
+const ARCH_HOME: &str = "crates/loom/src/durability/format.rs";
+
+/// Rule 7: `std::arch` / `core::arch` paths and `#[target_feature]`
+/// attributes are confined to the CRC32 kernel file, so the workspace
+/// keeps one unsafe, CPU-specific kernel behind one run-time dispatch
+/// and everything else stays portable, safe Rust. (`#[cfg(target_feature
+/// = ..)]` is a plain condition and is not matched.)
+pub fn check_arch_confinement(file: &SourceFile) -> Vec<Violation> {
+    if file.path == ARCH_HOME {
+        return Vec::new();
+    }
+    let toks = file.code_toks();
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let arch_path = t.is_ident("arch")
+            && i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && (toks[i - 3].is_ident("std") || toks[i - 3].is_ident("core"));
+        let target_feature_attr = t.is_ident("target_feature")
+            && i >= 2
+            && toks[i - 1].is_punct('[')
+            && toks[i - 2].is_punct('#');
+        if arch_path || target_feature_attr {
+            out.push(Violation {
+                file: file.path.clone(),
+                line: t.line,
+                rule: Rule::ArchConfinement,
+                message: format!(
+                    "CPU-specific code (`{}`) outside {ARCH_HOME}; the CRC32 kernel there is \
+                     the one place intrinsics and run-time feature dispatch live",
+                    if arch_path {
+                        "std::arch"
+                    } else {
+                        "#[target_feature]"
+                    }
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// Rule 5: each failpoint site name has exactly one owner.
 ///
 /// Owners are (a) a `const NAME: &str = ".."` in `loom/src/fault.rs`,
@@ -648,6 +692,39 @@ mod tests {
             "let c = Config::builder(dir).shards(4).build()?;\n",
         );
         assert!(check_config_literal(&builder).is_empty());
+    }
+
+    #[test]
+    fn arch_code_flagged_outside_the_crc_kernel() {
+        // Seeded violations: an intrinsics import, a qualified call, a
+        // `core` path, and a target-feature attribute.
+        for bad in [
+            "use std::arch::x86_64::_mm_clmulepi64_si128;\n",
+            "if std::arch::is_x86_feature_detected!(\"avx2\") { fast() }\n",
+            "use core::arch::aarch64::*;\n",
+            "#[target_feature(enable = \"avx2\")]\nfn fast() {}\n",
+        ] {
+            let v = check_arch_confinement(&f("crates/loom/src/query/columnar.rs", bad));
+            assert_eq!(rules(&v), vec![Rule::ArchConfinement], "{bad}");
+        }
+
+        // The kernel file may; `cfg` conditions, other `arch` names,
+        // comments and strings are not CPU-specific code.
+        let home = f(
+            ARCH_HOME,
+            "use std::arch::x86_64::*;\n#[target_feature(enable = \"pclmulqdq\")]\nfn k() {}\n",
+        );
+        assert!(check_arch_confinement(&home).is_empty());
+        for ok in [
+            "#[cfg(target_arch = \"x86_64\")]\nfn a() {}\n",
+            "#[cfg(target_feature = \"sse2\")]\nfn b() {}\n",
+            "let arch = std::env::consts::ARCH;\n",
+            "// std::arch is confined to the CRC kernel.\n",
+            "let s = \"#[target_feature(enable = \\\"avx\\\")]\";\n",
+        ] {
+            let v = check_arch_confinement(&f("crates/loom/src/engine.rs", ok));
+            assert!(v.is_empty(), "{ok}: {v:?}");
+        }
     }
 
     #[test]

@@ -165,6 +165,9 @@ pub struct RecoveredState {
     pub unsealed_summaries: Vec<UnsealedSummary>,
     /// What the scans found.
     pub report: RecoveryReport,
+    /// Cold chunks inflated (and `raw_crc`-checked) by the scan: each
+    /// live cold chunk exactly once.
+    pub(crate) cold_chunks_inflated: u64,
 }
 
 /// Scans a dirty data directory and computes its recovered state.
@@ -180,6 +183,13 @@ pub fn recover_dirty(dir: &Path, config: &Config) -> Result<RecoveredState> {
 /// decompressed bytes (the hot copies may already be punched to zeros),
 /// and chunks below the retention prune watermark are skipped — their
 /// data is legitimately gone, not torn.
+///
+/// `cold` comes from the shallow open (headers, frame CRCs, frame order
+/// and addresses). This scan is the only deep pass over the cold tier:
+/// it inflates every live cold chunk once, checking `raw_len`, `raw_crc`
+/// and every record CRC. A cold chunk the record-log scan does not reach
+/// (it stopped at a cut first) is inflated after it, so a corrupt cold
+/// chunk always fails the reopen with `CorruptLog { log: ColdSegment }`.
 pub fn recover_dirty_with_cold(
     dir: &Path,
     config: &Config,
@@ -246,7 +256,7 @@ fn scan_record_log(
     let file_len = file.metadata()?.len();
     let chunk_size = config.chunk_size;
     let mut buf = vec![0u8; chunk_size];
-    let mut cold_buf = Vec::new();
+    let (mut frame, mut cold_buf) = (Vec::new(), Vec::new());
 
     let mut tail = file_len;
     let cut = |state: &mut RecoveredState, tail: &mut u64, addr: u64, reason: String| {
@@ -260,14 +270,17 @@ fn scan_record_log(
     };
 
     let mut chunk_start = 0u64;
+    // Chunks below this address were visited by the scan.
+    let mut visited_to = 0u64;
     'chunks: while chunk_start < file_len {
+        visited_to = chunk_start + chunk_size as u64;
         let avail = ((file_len - chunk_start) as usize).min(chunk_size);
-        if cold.owns(chunk_start) {
+        let chunk: &[u8] = if cold.read_chunk(chunk_start, &mut frame, &mut cold_buf)? {
             // The cold tier owns this chunk: scan its decompressed bytes
             // (the hot copy may be punched). Cold chunks are whole by
             // construction, so `avail` is a full chunk here.
-            cold.read_chunk(chunk_start, &mut cold_buf)?;
-            buf[..avail].copy_from_slice(&cold_buf);
+            state.cold_chunks_inflated += 1;
+            &cold_buf[..avail.min(cold_buf.len())]
         } else if chunk_start + chunk_size as u64 <= cold.pruned_below() {
             // Dropped by retention: not torn, just gone. Skip it without
             // reading — the bytes are punched zeros (or a stale copy if
@@ -276,12 +289,14 @@ fn scan_record_log(
             continue;
         } else {
             file.read_exact_at(&mut buf[..avail], chunk_start)?;
-        }
+            &buf[..avail]
+        };
+        let avail = chunk.len();
         let complete = avail == chunk_size;
         let mut pos = 0usize;
         while pos + RECORD_HEADER_SIZE <= avail {
             let addr = chunk_start + pos as u64;
-            let header_buf = &buf[pos..pos + RECORD_HEADER_SIZE];
+            let header_buf = &chunk[pos..pos + RECORD_HEADER_SIZE];
             let header = RecordHeader::decode(header_buf).expect("length checked");
             if header.source == 0 {
                 if complete {
@@ -314,7 +329,7 @@ fn scan_record_log(
                 cut(state, &mut tail, addr, "torn record entry".into());
                 break 'chunks;
             }
-            let payload = &buf[pos + RECORD_HEADER_SIZE..entry_end];
+            let payload = &chunk[pos + RECORD_HEADER_SIZE..entry_end];
             if !RecordHeader::verify(header_buf, payload) {
                 cut(state, &mut tail, addr, "record checksum mismatch".into());
                 break 'chunks;
@@ -341,6 +356,13 @@ fn scan_record_log(
         chunk_start += chunk_size as u64;
     }
     state.record_tail = tail;
+
+    // The cold tier was opened shallow, so a live cold chunk the scan
+    // stopped short of is inflated here: every one is checked, once.
+    for addr in cold.chunk_addrs().into_iter().filter(|&a| a >= visited_to) {
+        cold.read_chunk(addr, &mut frame, &mut cold_buf)?;
+        state.cold_chunks_inflated += 1;
+    }
     Ok(())
 }
 

@@ -963,6 +963,10 @@ impl Loom {
         }
         let mut report = recovered.report.clone();
         if !report.clean {
+            inner
+                .obs
+                .engine
+                .cold_byte_decodes(recovered.cold_chunks_inflated);
             let (rebuilt, appended) = writer.apply_recovery(&recovered)?;
             report.summaries_rebuilt = rebuilt;
             report.seals_appended = appended;
@@ -1035,27 +1039,23 @@ impl Loom {
             .cloned();
         // Rebuild the cold tier from the manifest before any log scan:
         // the record-log scan must read cold-owned chunks from their
-        // segments. Dirty reopens deep-verify every cold frame (checksum
-        // plus codec round trip); clean ones validate headers and frame
-        // checksums only. This also sweeps orphan segment files (crash
-        // before a commit) and leftover pruned slice directories (crash
-        // before an unlink).
-        let mut cold_snap =
-            retention::open_cold_tier(&config.dir, manifest.records(), marker.is_none())?;
+        // segments. The open is shallow on every path — segment headers,
+        // frame checksums, frame order, and frame addresses against the
+        // manifest — and inflates nothing: a dirty reopen's record-log
+        // scan is the one pass that inflates each cold chunk and checks
+        // its `raw_crc` and record CRCs. This also sweeps orphan segment
+        // files (crash before a commit) and leftover pruned slice
+        // directories (crash before an unlink).
+        let cold_snap = retention::open_cold_tier(&config.dir, manifest.records())?;
         // The fast path still reads the chunk index once, verifying every
         // frame, to seed the summary mirror. A damaged frame demotes the
         // reopen to the full scan, which rebuilds the summary from the
-        // chunk's records (and deep-verifies the cold tier like any dirty
-        // reopen).
-        let demotable = marker.is_some();
+        // chunk's records.
         let clean = marker.and_then(|s| {
             let summaries =
                 crate::durability::load_summaries(&config.dir, s.chunk_tail, &cold_snap).ok()?;
             Some((s, summaries))
         });
-        if demotable && clean.is_none() {
-            cold_snap = retention::open_cold_tier(&config.dir, manifest.records(), true)?;
-        }
         let recovered = match clean {
             Some((s, summaries)) => {
                 let mut st = RecoveredState {
@@ -1625,12 +1625,13 @@ impl ShardWriter {
         debug_assert!(self.logs.active.is_empty());
         let mut rebuilt = 0u64;
         let mut buf = vec![0u8; chunk_size as usize];
+        let mut frame = Vec::new();
         let cold = Arc::clone(&self.inner.cold.read());
         for &chunk_addr in &recovered.resummarize {
             // An aged chunk's hot copy may be punched: read its segment,
             // as the record-log scan did.
-            if cold.read_chunk(chunk_addr, &mut buf)? {
-                self.inner.obs.engine.cold_byte_decode();
+            if cold.read_chunk(chunk_addr, &mut frame, &mut buf)? {
+                self.inner.obs.engine.cold_byte_decodes(1);
             } else {
                 self.inner.record_log.read_at(chunk_addr, &mut buf)?;
             }

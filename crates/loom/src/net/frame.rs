@@ -9,8 +9,9 @@
 //!
 //! `len` counts everything after the length prefix (type byte, body,
 //! and trailing checksum), and the CRC covers the type byte plus the
-//! body, using the same slice-by-8 CRC-32 as the durable log format
-//! ([`crate::durability::format::crc32`]). A frame therefore either
+//! body, using the same CRC-32 as the durable log format
+//! ([`crate::durability::format::crc32`]: carry-less multiply from 64 B
+//! where the CPU has it, slice-by-8 below). A frame therefore either
 //! decodes completely and checksum-verified, or it is rejected whole —
 //! the framing layer is what makes a batch atomic on the wire: a client
 //! killed mid-frame leaves a torn prefix that never parses, so no

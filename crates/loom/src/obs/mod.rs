@@ -267,11 +267,12 @@ impl EngineObs {
         self.tier_cold_chunk_reads.inc();
     }
 
-    /// A cold chunk was inflated back into record bytes (raw scans and
-    /// summary rebuilds; indexed queries decode cold frames into columns).
+    /// `n` cold chunks were inflated back into record bytes (raw scans,
+    /// a dirty reopen's scan, summary rebuilds; indexed queries decode
+    /// cold frames into columns).
     #[inline]
-    pub(crate) fn cold_byte_decode(&self) {
-        self.tier_cold_byte_decodes.inc();
+    pub(crate) fn cold_byte_decodes(&self, n: u64) {
+        self.tier_cold_byte_decodes.add(n);
     }
 
     fn snapshot(&self) -> CoordinatorMetrics {

@@ -536,7 +536,7 @@ fn cold_piece<'b>(
         chunk.extend_from_slice(f.body);
     } else {
         f.inflate(chunk)?;
-        obs.cold_byte_decode();
+        obs.cold_byte_decodes(1);
     }
     if chunk.len() < len {
         chunk.resize(len, 0);

@@ -169,9 +169,10 @@ impl<'a> QueryView<'a> {
         let base = addr - addr % self.chunk_size;
         if self.cold.owns(base) {
             if cache.addr != Some(base) {
-                self.cold.read_chunk(base, &mut cache.bytes)?;
+                self.cold
+                    .read_chunk(base, &mut cache.frame, &mut cache.bytes)?;
                 self.obs.engine.cold_chunk_read();
-                self.obs.engine.cold_byte_decode();
+                self.obs.engine.cold_byte_decodes(1);
                 cache.addr = Some(base);
             }
             let off = (addr - base) as usize;
@@ -234,6 +235,8 @@ pub(crate) struct ColdChunkCache {
     addr: Option<u64>,
     /// The decompressed chunk.
     bytes: Vec<u8>,
+    /// The last segment frame read, reused across cache misses.
+    frame: Vec<u8>,
 }
 
 /// Counters produced by decoding chunk pieces.

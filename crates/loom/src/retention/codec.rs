@@ -30,8 +30,8 @@
 //! allocated and hands each entry to a `ColumnarSink`:
 //!
 //! - the *byte sink* (behind [`decompress_chunk`], the segment reader's
-//!   `read_chunk_frame`, compaction's round-trip check, deep segment
-//!   validation, recovery and raw scans) rebuilds the exact chunk bytes.
+//!   `read_chunk_frame`, compaction's round-trip check, a dirty reopen's
+//!   record-log scan and raw scans) rebuilds the exact chunk bytes.
 //!   It is the only place record CRCs are re-derived: once per record,
 //!   after the exception list has patched every back pointer in place;
 //! - the *column sink* (`query::columnar`) fills a `ColumnBatch`

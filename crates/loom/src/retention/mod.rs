@@ -207,17 +207,26 @@ impl ColdSnap {
             .find(|s| s.summary_start <= addr && addr < s.summary_end)
     }
 
-    /// Reads and decompresses the cold chunk at record-log address
-    /// `addr` into `out`. Returns `false` (leaving `out` untouched) when
-    /// the cold tier does not own that address.
-    pub fn read_chunk(&self, addr: u64, out: &mut Vec<u8>) -> Result<bool> {
-        match self.chunks.get(&addr) {
-            Some(r) => {
-                segment::read_chunk_frame(&r.file, r.offset, addr, out)?;
+    /// Reads the cold chunk at record-log address `addr` into `frame`
+    /// (grown, never shrunk, so a caller reading many chunks reuses one
+    /// frame buffer) and decompresses it into `out`, checking the frame
+    /// CRC, `raw_len` and `raw_crc`. Returns `false` (leaving both
+    /// buffers untouched) when the cold tier does not own that address.
+    pub fn read_chunk(&self, addr: u64, frame: &mut Vec<u8>, out: &mut Vec<u8>) -> Result<bool> {
+        match self.read_frame(addr, frame)? {
+            Some(f) => {
+                f.inflate(out)?;
                 Ok(true)
             }
             None => Ok(false),
         }
+    }
+
+    /// Record-log addresses of every cold-owned chunk, ascending.
+    pub(crate) fn chunk_addrs(&self) -> Vec<u64> {
+        let mut addrs: Vec<u64> = self.chunks.keys().copied().collect();
+        addrs.sort_unstable();
+        addrs
     }
 
     /// Reads the frame of the cold chunk at record-log address `addr`
@@ -321,15 +330,13 @@ impl ColdSnap {
 }
 
 /// Rebuilds a shard's [`ColdSnap`] from its replayed manifest records,
-/// validating the referenced segment files (`deep` re-decompresses every
-/// frame — used on dirty reopen) and deleting orphans: segment files or
-/// slice directories present on disk but never committed (crash before
-/// the manifest append) or already pruned (crash before the unlink).
-pub fn open_cold_tier(
-    shard_dir: &Path,
-    records: &[ManifestRecord],
-    deep: bool,
-) -> Result<ColdSnap> {
+/// validating the referenced segment files (header, every frame CRC,
+/// frame order, and frame addresses against the `ChunksAged` entries;
+/// nothing is inflated — a dirty reopen's record-log scan does that once
+/// per chunk) and deleting orphans: segment files or slice directories
+/// present on disk but never committed (crash before the manifest
+/// append) or already pruned (crash before the unlink).
+pub fn open_cold_tier(shard_dir: &Path, records: &[ManifestRecord]) -> Result<ColdSnap> {
     // Pass 1: fold the journal into per-(slice, segment) entry lists and
     // the pruned set, so files of pruned slices are never opened.
     let mut segments: Vec<(u64, u32, Vec<AgedChunk>)> = Vec::new();
@@ -361,7 +368,7 @@ pub fn open_cold_tier(
             continue;
         }
         let path = segment::segment_path(shard_dir, *slice, *segment);
-        let addrs = segment::validate_segment(&path, *slice, deep)?;
+        let addrs = segment::validate_segment(&path, *slice)?;
         let expect: Vec<u64> = entries.iter().map(|e| e.chunk_addr).collect();
         if addrs != expect {
             return Err(LoomError::Corrupt(format!(
@@ -515,15 +522,15 @@ mod tests {
             0,
             &[(0, c0.clone()), (2048, c1.clone())],
         )];
-        let snap = open_cold_tier(&dir, &records, true).unwrap();
+        let snap = open_cold_tier(&dir, &records).unwrap();
         assert_eq!(snap.chunk_count(), 2);
         assert!(snap.owns(0) && snap.owns(2048));
         assert_eq!(snap.aged_upto_chunk(), 4096);
         assert_eq!(snap.aged_upto_summary(), 128);
-        let mut out = Vec::new();
-        assert!(snap.read_chunk(2048, &mut out).unwrap());
+        let (mut frame, mut out) = (Vec::new(), Vec::new());
+        assert!(snap.read_chunk(2048, &mut frame, &mut out).unwrap());
         assert_eq!(out, c1);
-        assert!(!snap.read_chunk(4096, &mut out).unwrap());
+        assert!(!snap.read_chunk(4096, &mut frame, &mut out).unwrap());
         let t = snap.tier_stats();
         assert_eq!((t.chunks, t.records, t.slices), (2, 60, 1));
         assert_eq!(t.raw_bytes, 4096);
@@ -540,7 +547,7 @@ mod tests {
         write_slice(&dir, 0, 1, &[(2048, chunk(2048, 10))]);
         write_slice(&dir, 5, 0, &[(4096, chunk(4096, 10))]);
         std::fs::write(dir.join(COLD_DIR).join("junk"), b"x").unwrap();
-        let snap = open_cold_tier(&dir, &[committed], true).unwrap();
+        let snap = open_cold_tier(&dir, &[committed]).unwrap();
         assert_eq!(snap.chunk_count(), 1);
         assert!(!segment::segment_path(&dir, 0, 1).exists());
         assert!(!dir.join(COLD_DIR).join(segment::slice_dir_name(5)).exists());
@@ -564,7 +571,7 @@ mod tests {
                 pruned_below: 2048,
             },
         ];
-        let snap = open_cold_tier(&dir, &records, true).unwrap();
+        let snap = open_cold_tier(&dir, &records).unwrap();
         assert_eq!(snap.chunk_count(), 1);
         assert!(!snap.owns(0) && snap.owns(2048));
         assert_eq!(snap.pruned_below(), 2048);
@@ -590,7 +597,7 @@ mod tests {
                 pruned_below: 2048,
             },
         ];
-        let snap = open_cold_tier(&dir, &records, false).unwrap();
+        let snap = open_cold_tier(&dir, &records).unwrap();
         assert_eq!(snap.chunk_count(), 0);
         assert!(!dir.join(COLD_DIR).join(segment::slice_dir_name(0)).exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -603,7 +610,7 @@ mod tests {
         if let ManifestRecord::ChunksAged { entries, .. } = &mut r0 {
             entries[0].chunk_addr = 4096; // journal disagrees with the file
         }
-        assert!(open_cold_tier(&dir, &[r0], false).is_err());
+        assert!(open_cold_tier(&dir, &[r0]).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -620,7 +627,7 @@ mod tests {
         let live = ColdSnap::default().with_aged(slice, 0, &entries, file);
         assert_eq!(live.next_segment(0), 1);
         assert_eq!(live.next_segment(9), 0);
-        let reopened = open_cold_tier(&dir, &[r0], true).unwrap();
+        let reopened = open_cold_tier(&dir, &[r0]).unwrap();
         assert_eq!(live.chunk_count(), reopened.chunk_count());
         assert_eq!(live.slices(), reopened.slices());
         assert_eq!(live.pruned_below(), reopened.pruned_below());

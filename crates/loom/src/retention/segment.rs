@@ -17,11 +17,19 @@
 //! The frame CRC covers every body byte (`chunk_addr`, `raw_len`,
 //! `raw_crc`, codec id, compressed bytes) and is verified on every read.
 //! `raw_crc` is the CRC32 of the *original* chunk bytes: reads that
-//! inflate the chunk back into record bytes ([`read_chunk_frame`]) verify
-//! it after decompression. The column read (`ColdSnap::read_frame`) stops
-//! at the frame CRC — compaction proved the body inflates exactly when it
-//! wrote the frame, so re-checking the decoder against itself adds
-//! nothing.
+//! inflate the chunk back into record bytes ([`read_chunk_frame`],
+//! `ColdSnap::read_chunk`) verify it after decompression. The column
+//! read (`ColdSnap::read_frame`) stops at the frame CRC — compaction
+//! proved the body inflates exactly when it wrote the frame, so
+//! re-checking the decoder against itself adds nothing. Both CRCs run
+//! the carry-less-multiply kernel where the CPU has it (see
+//! [`Crc32`](crate::durability::format::Crc32)), so checking a frame
+//! costs a small fraction of inflating it.
+//!
+//! [`validate_segment`] is the open-time check: header, every frame CRC,
+//! frame order. It never inflates. A dirty reopen's record-log scan is
+//! the one pass that inflates every live cold chunk and checks its
+//! `raw_len` and `raw_crc`.
 
 use std::fs::File;
 use std::io::Write;
@@ -303,7 +311,8 @@ pub(crate) fn read_frame_at<'b>(
 
 /// Reads and verifies the chunk frame at `offset`, decompressing the
 /// exact original chunk bytes into `out`. `expect_addr` cross-checks the
-/// frame against the caller's map.
+/// frame against the caller's map. Callers that read many frames reuse
+/// one frame buffer through `ColdSnap::read_chunk` instead.
 pub fn read_chunk_frame(
     file: &File,
     offset: u64,
@@ -314,10 +323,10 @@ pub fn read_chunk_frame(
     read_frame_at(file, offset, expect_addr, &mut buf)?.inflate(out)
 }
 
-/// Verifies a segment file's header and, when `deep`, every frame —
-/// checksums, codec round trip, and chunk-address ordering. Returns the
-/// chunk addresses the segment holds.
-pub fn validate_segment(path: &Path, slice: u64, deep: bool) -> Result<Vec<u64>> {
+/// Verifies a segment file's header and every frame's checksum and
+/// chunk-address order, without inflating any. Returns the chunk
+/// addresses the segment holds.
+pub fn validate_segment(path: &Path, slice: u64) -> Result<Vec<u64>> {
     let bytes = std::fs::read(path)?;
     if bytes.len() < SEGMENT_HEADER_SIZE {
         return Err(corrupt_at(0, "segment shorter than its header"));
@@ -352,16 +361,12 @@ pub fn validate_segment(path: &Path, slice: u64, deep: bool) -> Result<Vec<u64>>
     }
     let mut addrs = Vec::new();
     let mut pos = SEGMENT_HEADER_SIZE;
-    let mut scratch = Vec::new();
     while let Some((body, next)) = read_frame(&bytes, pos, LogId::ColdSegment)? {
         let frame = ChunkFrame::parse(body, pos as u64)?;
         if let Some(&last) = addrs.last() {
             if frame.chunk_addr <= last {
                 return Err(corrupt_at(pos as u64, "chunk frames out of order"));
             }
-        }
-        if deep {
-            frame.inflate(&mut scratch)?;
         }
         addrs.push(frame.chunk_addr);
         pos = next;
@@ -424,9 +429,33 @@ mod tests {
         assert!(read_chunk_frame(&file, m1.offset, 0, &mut out).is_err());
 
         let path = segment_path(&dir, 3, 0);
-        assert_eq!(validate_segment(&path, 3, true).unwrap(), vec![0, 1024]);
+        assert_eq!(validate_segment(&path, 3).unwrap(), vec![0, 1024]);
         // Wrong slice in the directory name is caught.
-        assert!(validate_segment(&path, 4, false).is_err());
+        assert!(validate_segment(&path, 4).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frame whose `raw_crc` lies under a valid frame CRC passes the
+    /// open-time check, which never inflates, and fails the first read
+    /// that does.
+    #[test]
+    fn raw_crc_is_checked_by_inflating_reads_only() {
+        let dir = tmpdir("rawcrc");
+        let mut w = SegmentWriter::create(&dir, 0, 0).unwrap();
+        let m0 = w.append_chunk(0, &chunk_with_records(0, 10)).unwrap();
+        drop(w.finish().unwrap());
+        let path = segment_path(&dir, 0, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frame = m0.offset as usize;
+        let body = frame + FRAME_HEADER_SIZE..frame + FRAME_HEADER_SIZE + m0.comp_len as usize;
+        bytes[body.start + 12] ^= 0x01; // raw_crc
+        let crc = crc32(&bytes[body]);
+        bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(validate_segment(&path, 0).unwrap(), vec![0]);
+        let file = File::open(&path).unwrap();
+        let err = read_chunk_frame(&file, m0.offset, 0, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -442,7 +471,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 20] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(validate_segment(&path, 1, false).is_err());
+        assert!(validate_segment(&path, 1).is_err());
         let file = File::open(&path).unwrap();
         let mut out = Vec::new();
         assert!(read_chunk_frame(&file, m0.offset, 0, &mut out).is_err());
@@ -459,7 +488,7 @@ mod tests {
         let path = segment_path(&dir, 0, 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(validate_segment(&path, 0, false).is_err());
+        assert!(validate_segment(&path, 0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

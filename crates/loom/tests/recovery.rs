@@ -374,6 +374,80 @@ fn aged_summary_corrupted_after_clean_close_is_rebuilt_on_reopen() {
     summary_corrupted_after_clean_close("clean-flip-aged-summary", aged);
 }
 
+/// A cold frame whose `raw_crc` was rewritten, with its frame checksum
+/// recomputed to match, passes every check that does not inflate the
+/// chunk. A dirty reopen must still refuse it: the chunk's inflated
+/// bytes no longer match `raw_crc`, so the reopen fails with a typed
+/// cold-segment corruption instead of serving the chunk.
+#[test]
+fn cold_raw_crc_under_a_valid_frame_crc_fails_a_dirty_reopen() {
+    use std::os::unix::fs::FileExt;
+
+    let env = Env::new("cold-raw-crc");
+    let aging = RetentionConfig {
+        enabled: true,
+        cold_after: 0,
+        interval: None,
+        compact_on_seal: false,
+        ..RetentionConfig::default()
+    };
+    let config = || {
+        Config::small(&env.dir)
+            .with_shards(1)
+            .with_retention(aging.clone())
+    };
+    let (loom, mut writer) = Loom::open_with_clock(config(), Clock::manual(1_000)).unwrap();
+    let s = loom.define_source("app");
+    push_n(&loom, &mut writer, s, 3_000, |i| i % 3_000);
+    writer.sync_durable().unwrap();
+    assert!(loom.compact().unwrap().chunks_aged > 1);
+    writer.simulate_crash();
+    drop(loom);
+
+    // The first frame of the first segment: header (24 B), then
+    // `[len u32][crc u32][chunk_addr u64 | raw_len u32 | raw_crc u32 | ..]`.
+    let slice = std::fs::read_dir(env.dir.join("cold"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let path = std::fs::read_dir(&slice)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .min()
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let frame = 24;
+    let len = u32::from_le_bytes(bytes[frame..frame + 4].try_into().unwrap()) as usize;
+    let body = frame + 8..frame + 8 + len;
+    bytes[body.start + 12] ^= 0x01;
+    let crc = loom::durability::format::crc32(&bytes[body.clone()]);
+    bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.write_all_at(&bytes[frame..body.end], frame as u64)
+        .unwrap();
+    file.sync_all().unwrap();
+
+    let refused = || match Loom::open_with_clock(config(), Clock::manual(0)) {
+        Err(LoomError::CorruptLog {
+            log: LogId::ColdSegment,
+            ..
+        }) => {}
+        Err(other) => panic!("expected a cold-segment corruption, got {other:?}"),
+        Ok(_) => panic!("a dirty reopen served a cold chunk whose raw_crc is wrong"),
+    };
+    refused();
+    // The same when the record-log scan stops before reaching the chunk.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(env.dir.join(LogId::Records.file_name()))
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    refused();
+}
+
 #[test]
 fn flipped_byte_in_ts_index_truncates_and_reappends_seals() {
     let env = Env::new("flip-ts");

@@ -359,6 +359,47 @@ fn only_raw_scans_inflate_cold_chunks_to_record_bytes() {
     assert!(counter(&loom, "loom_tier_cold_byte_decodes_total") > 0);
 }
 
+/// A dirty reopen inflates each live cold chunk exactly once — the
+/// record-log scan is the only deep pass over the cold tier — and counts
+/// it; a clean reopen inflates none.
+#[test]
+fn dirty_reopen_inflates_each_cold_chunk_once() {
+    if !cfg!(feature = "self-obs") {
+        return;
+    }
+    for shards in [1, 2] {
+        let env = Env::new(&format!("reopen-decodes-{shards}"));
+        let (loom, mut w) = env.open(shards, manual_aging(), 1_000);
+        let sources: Vec<SourceId> = (0..4)
+            .map(|i| loom.define_source(&format!("s{i}")))
+            .collect();
+        for &s in &sources {
+            push_series(&loom, &mut w, s, 1_500, 10);
+        }
+        w.sync_durable().unwrap();
+        let aged = loom.compact().unwrap().chunks_aged;
+        assert!(aged > 2);
+        let cold: u64 = loom.tier_stats().iter().map(|t| t.cold.chunks).sum();
+        assert_eq!(cold, aged);
+        w.simulate_crash();
+        drop(loom);
+
+        let (loom, w) = env.open(shards, manual_aging(), 0);
+        assert!(!loom.recovery_report().unwrap().clean);
+        assert_eq!(
+            counter(&loom, "loom_tier_cold_byte_decodes_total"),
+            cold,
+            "shards = {shards}"
+        );
+        w.close().unwrap();
+        drop(loom);
+
+        let (loom, _w) = env.open(shards, manual_aging(), 0);
+        assert!(loom.recovery_report().unwrap().clean);
+        assert_eq!(counter(&loom, "loom_tier_cold_byte_decodes_total"), 0);
+    }
+}
+
 /// Flipping any byte of a cold frame — its length, checksum, chunk
 /// address, `raw_len`, `raw_crc`, codec id, or body — makes every query
 /// that reads the chunk fail with a typed cold-segment corruption:
