@@ -8,7 +8,8 @@
 
 use super::view::{ColdChunkCache, QueryView};
 use super::{Record, TimeRange};
-use crate::error::Result;
+use crate::durability::LogId;
+use crate::error::{LoomError, Result};
 use crate::record::{NIL_ADDR, RECORD_HEADER_SIZE};
 use crate::registry::SourceId;
 use crate::stats::QueryStats;
@@ -48,7 +49,19 @@ where
             break;
         }
         let (header, header_buf) = view.read_header(addr, &mut cache)?;
-        debug_assert_eq!(header.source, source.0, "record chain crossed sources");
+        // A skipped header is never checksummed, so its link is checked
+        // before the walk follows it: a chain stays in its source and
+        // runs strictly backward, which also bounds the walk.
+        if header.source != source.0 || (header.prev != NIL_ADDR && header.prev >= addr) {
+            return Err(LoomError::CorruptLog {
+                log: LogId::Records,
+                addr,
+                reason: format!(
+                    "record chain of source {} broken: source {}, prev {:#x}",
+                    source.0, header.source, header.prev
+                ),
+            });
+        }
         stats.records_scanned += 1;
         stats.bytes_read += RECORD_HEADER_SIZE as u64;
         if header.ts < range.start {

@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 use super::columnar::BufferPool;
 use crate::chunk_index::MirrorSnapshot;
+use crate::durability::LogId;
 use crate::engine::Inner;
-use crate::error::Result;
+use crate::error::{LoomError, Result};
 use crate::hybridlog::Snapshot;
 use crate::obs::Obs;
 use crate::record::{RecordHeader, RECORD_HEADER_SIZE};
@@ -140,6 +141,11 @@ impl<'a> QueryView<'a> {
 
     /// Reads a record's payload into `buf` (resized to fit) and verifies
     /// the entry checksum against `header_buf`.
+    ///
+    /// The header is not verified yet, so its `len` is bounded first:
+    /// records never span chunks, and an entry that would run past its
+    /// chunk's piece fails as `decode_records` fails it, before anything
+    /// is allocated or read.
     pub fn read_payload(
         &self,
         addr: u64,
@@ -148,11 +154,25 @@ impl<'a> QueryView<'a> {
         buf: &mut Vec<u8>,
         cache: &mut ColdChunkCache,
     ) -> Result<()> {
+        let base = addr - addr % self.chunk_size;
+        let piece = if self.cold.owns(base) {
+            self.chunk_size
+        } else {
+            self.piece_len(base) as u64
+        };
+        let end = addr - base + header.entry_size() as u64;
+        if end > piece {
+            return Err(LoomError::CorruptLog {
+                log: LogId::Records,
+                addr,
+                reason: format!("entry overruns chunk ({end} > {piece})"),
+            });
+        }
         buf.resize(header.len as usize, 0);
         self.read_at_tiered(addr + RECORD_HEADER_SIZE as u64, buf, cache)?;
         if !RecordHeader::verify(header_buf, buf) {
-            return Err(crate::error::LoomError::CorruptLog {
-                log: crate::durability::LogId::Records,
+            return Err(LoomError::CorruptLog {
+                log: LogId::Records,
                 addr,
                 reason: "record checksum mismatch".into(),
             });

@@ -448,6 +448,119 @@ fn cold_raw_crc_under_a_valid_frame_crc_fails_a_dirty_reopen() {
     refused();
 }
 
+/// A cleanly closed flat directory with one indexed source `app` (500
+/// records of 8 B) beside a source `other`, for tests that corrupt
+/// record bytes the clean reopen does not re-verify. Returns `app`'s
+/// records newest first as `(addr, ts)`, `other`'s id, and the config
+/// that reopens the directory.
+fn clean_dir_for_raw_scans(env: &Env) -> (Vec<(u64, u64)>, SourceId, Config) {
+    let config = Config::small(&env.dir)
+        .with_shards(1)
+        .with_retention(RetentionConfig::default());
+    let (loom, mut writer) = Loom::open_with_clock(config.clone(), Clock::manual(1_000)).unwrap();
+    let s = loom.define_source("app");
+    let other = loom.define_source("other");
+    loom.define_index_desc(s, ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    push_n(&loom, &mut writer, s, 500, |i| i);
+    let mut recs = Vec::new();
+    loom.raw_scan(s, TimeRange::new(0, u64::MAX), |r| {
+        recs.push((r.addr, r.ts))
+    })
+    .unwrap();
+    writer.close().unwrap();
+    (recs, other, config)
+}
+
+/// Overwrites `bytes` at `at` in `path`.
+fn patch(path: &std::path::Path, at: u64, bytes: &[u8]) {
+    use std::os::unix::fs::FileExt;
+    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    file.write_all_at(bytes, at).unwrap();
+    file.sync_all().unwrap();
+}
+
+/// A raw scan follows the back pointers of records newer than its range
+/// without checksumming them. A corrupt link there — a `prev` at its own
+/// address or forward, or a header of another source — must end the walk
+/// with `CorruptLog { log: Records }` at that record instead of looping
+/// forever or crossing into another chain. The scan runs on a helper
+/// thread, so a walk that never ends fails the test instead of hanging it.
+#[test]
+fn raw_scan_fails_on_a_corrupt_chain_link_past_its_range() {
+    let env = Env::new("raw-link");
+    let (recs, other, config) = clean_dir_for_raw_scans(&env);
+    let path = env.dir.join(LogId::Records.file_name());
+    let original = std::fs::read(&path).unwrap();
+    // The walk visits every record between the first one after the range
+    // and the range, so it always passes `victim`, the record just after.
+    let (victim, _) = recs[1];
+    let range = TimeRange::new(0, recs[2].1);
+    let cases: [(&str, u64, Vec<u8>); 3] = [
+        ("prev at its own address", 8, victim.to_le_bytes().to_vec()),
+        ("prev forward", 8, recs[0].0.to_le_bytes().to_vec()),
+        ("another source", 0, other.0.to_le_bytes().to_vec()),
+    ];
+    for (what, field, value) in cases {
+        patch(&path, victim + field, &value);
+        let (loom, writer) = Loom::open_with_clock(config.clone(), Clock::manual(0)).unwrap();
+        assert!(loom.recovery_report().unwrap().clean, "{what}");
+        let s = loom.sources()[0].0;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let scanner = loom.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(scanner.raw_scan(s, range, |_| {}).map(drop));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Err(LoomError::CorruptLog {
+                log: LogId::Records,
+                addr,
+                ..
+            })) => assert_eq!(addr, victim, "{what}"),
+            Ok(other) => panic!("{what}: raw scan returned {other:?}"),
+            Err(_) => panic!("{what}: raw scan did not finish in 10 s"),
+        }
+        drop((loom, writer));
+        patch(
+            &path,
+            victim + field,
+            &original[(victim + field) as usize..][..value.len()],
+        );
+    }
+}
+
+/// A raw scan bounds a record's unverified payload length before it
+/// allocates or reads: a `len` running past the record's chunk fails
+/// with the same `CorruptLog` the indexed scan's chunk walk returns for
+/// that record, not with a multi-GiB buffer or an out-of-bounds read.
+#[test]
+fn raw_scan_bounds_a_corrupt_payload_length_by_its_chunk() {
+    let env = Env::new("raw-len");
+    let (recs, _, config) = clean_dir_for_raw_scans(&env);
+    let (victim, _) = recs[recs.len() / 2];
+    patch(
+        &env.dir.join(LogId::Records.file_name()),
+        victim + 4,
+        &(1u32 << 20).to_le_bytes(),
+    );
+    let (loom, _w) = Loom::open_with_clock(config, Clock::manual(0)).unwrap();
+    let s = loom.sources()[0].0;
+    let raw = loom.raw_scan(s, TimeRange::new(0, u64::MAX), |_| {});
+    let Err(LoomError::CorruptLog {
+        log: LogId::Records,
+        addr,
+        ref reason,
+    }) = raw
+    else {
+        panic!("raw scan returned {raw:?}");
+    };
+    assert_eq!(addr, victim);
+    assert!(reason.starts_with("entry overruns chunk"), "{reason}");
+    let idx = loom.indexes_of(s)[0];
+    let indexed = loom.query(s).index(idx).scan(|_| {}).map(drop);
+    assert_eq!(format!("{indexed:?}"), format!("{:?}", raw.map(drop)));
+}
+
 #[test]
 fn flipped_byte_in_ts_index_truncates_and_reappends_seals() {
     let env = Env::new("flip-ts");

@@ -493,6 +493,90 @@ fn flipped_cold_frame_bytes_fail_every_query_path() {
     }
 }
 
+/// The hot twin of `flipped_cold_frame_bytes_fail_every_query_path`: one
+/// flipped byte in a sealed record of `records.log` — in each lane class
+/// of the record checksum (the header's first 16 bytes, the lane that
+/// straddles header and payload, a whole payload lane, the payload's
+/// under-16-byte tail) or in the stored checksum — makes the indexed
+/// scan (serial and parallel), a percentile whose target bin holds the
+/// chunk, and the raw scan fail with `CorruptLog { log: Records }` at
+/// that record, on the first read and on every read after it.
+#[test]
+fn flipped_hot_record_byte_fails_every_query_path() {
+    use loom::durability::LogId;
+    use std::os::unix::fs::FileExt;
+
+    let env = Env::new("hot-flip");
+    let (loom, mut w) = env.open(1, disabled(), 1_000);
+    let s = loom.define_source("app");
+    let idx = loom
+        .define_index_desc(s, loom::ExtractorDesc::U64Le(0), spec())
+        .unwrap();
+    // 48 B payloads, a 76 B entry: the indexed value, then 40 filler
+    // bytes. Every value falls in bin 0, so every chunk holds the
+    // percentile's target bin.
+    for i in 0..2_000u64 {
+        loom.clock().advance(10);
+        let mut payload = [i as u8; 48];
+        payload[..8].copy_from_slice(&(4_000 + (i % 97) * 13).to_le_bytes());
+        w.push(s, &payload).unwrap();
+    }
+    w.sync_durable().unwrap();
+    let mut addrs = Vec::new();
+    loom.raw_scan(s, TimeRange::new(0, u64::MAX), |r| addrs.push(r.addr))
+        .unwrap();
+    addrs.sort_unstable();
+    let victim = addrs[10];
+    let range = TimeRange::new(0, u64::MAX);
+    let before = answers(&loom, s, idx, range);
+
+    let path = env.dir.join(LogId::Records.file_name());
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    // Header: source 0..4, len 4..8, prev 8..16, ts 16..24, crc 24..28.
+    let payload = victim + 28;
+    let offsets = [
+        ("header lane, back pointer", victim + 8),
+        ("straddle lane, timestamp", victim + 16),
+        ("straddle lane, payload", payload + 3),
+        ("payload lane", payload + 16),
+        ("payload tail", payload + 47),
+        ("stored checksum", victim + 24),
+    ];
+    for (what, at) in offsets {
+        let mut orig = [0u8];
+        file.read_exact_at(&mut orig, at).unwrap();
+        file.write_all_at(&[orig[0] ^ 0x01], at).unwrap();
+        let expect_corrupt = |op: &str, res: Result<(), loom::LoomError>| match res {
+            Err(loom::LoomError::CorruptLog {
+                log: LogId::Records,
+                addr,
+                ..
+            }) if addr == victim => {}
+            other => panic!("{what}: {op} returned {other:?}"),
+        };
+        let q = || loom.query(s).index(idx).range(range);
+        for read in ["first read", "second read"] {
+            let op = |name: &str| format!("{name}, {read}");
+            expect_corrupt(&op("scan"), q().scan(|_| {}).map(drop));
+            expect_corrupt(
+                &op("scan, parallelism 2"),
+                q().parallelism(2).scan(|_| {}).map(drop),
+            );
+            expect_corrupt(
+                &op("p50"),
+                q().aggregate(Aggregate::Percentile(50.0)).map(drop),
+            );
+            expect_corrupt(&op("raw scan"), loom.raw_scan(s, range, |_| {}).map(drop));
+        }
+        file.write_all_at(&orig, at).unwrap();
+        assert_eq!(answers(&loom, s, idx, range), before, "{what}: restored");
+    }
+}
+
 /// A compaction round is idempotent-by-watermark: a second round with no
 /// new sealed chunks ages nothing and rewrites nothing.
 #[test]
