@@ -19,11 +19,9 @@
 //!   standing subscriptions with bounded per-subscriber queues.
 
 pub mod net;
-pub mod otel;
 pub mod pipeline;
 pub mod sinks;
 
 pub use net::{NetOptions, NetServer, WriterSlot};
-pub use otel::OtelExporter;
 pub use pipeline::{Daemon, DaemonEvent, DaemonHandle, DaemonStats};
 pub use sinks::{FishStoreSink, LoomSink, TsdbSink};

@@ -488,8 +488,10 @@ fn ingest_batch(
             }
         }
         if err.is_none() {
-            // The ack promises durability, so the staged tail must hit
-            // the log before the watermark moves.
+            // The staged tail must reach the log before the watermark
+            // moves. `sync()` is a page-cache write barrier with no
+            // `fdatasync`: an acked batch survives a process kill, not a
+            // power cut.
             if let Err(e) = writer.sync() {
                 err = Some(e);
             }

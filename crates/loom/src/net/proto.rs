@@ -256,13 +256,16 @@ pub enum Message {
         /// The record payloads, pushed in order.
         payloads: Vec<Vec<u8>>,
     },
-    /// The batch is durable. `watermark` is the highest batch sequence
-    /// durably ingested for this client — everything at or below it is
-    /// safe to drop from the client's replay buffer.
+    /// The batch reached the server's logs. `watermark` is the highest
+    /// batch sequence ingested for this client — everything at or below
+    /// it is safe to drop from the client's replay buffer. The server
+    /// acks after a write barrier into the page cache, not an
+    /// `fdatasync`, so an acked batch survives a server process kill but
+    /// not a power cut.
     Ack {
         /// The batch being acknowledged.
         batch_seq: u64,
-        /// Highest durably ingested batch sequence for this client.
+        /// Highest ingested batch sequence for this client.
         watermark: u64,
     },
     /// The batch (or handshake, with `batch_seq == 0`) was refused.

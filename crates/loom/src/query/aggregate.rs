@@ -13,10 +13,12 @@
 //!   [`Partial::finish`] of the range's partial.
 //! * Holistic percentiles take two phases. Phase A collects the partial
 //!   with bins and [`Partial::target`] locates the bin holding the
-//!   requested rank. Phase B collects only that bin's values (from the
-//!   fully covered chunks whose summary holds any, the cut chunks and the
-//!   tail) and selects the rank within them, so the data set is never
-//!   materialized or sorted.
+//!   requested rank. Phase B collects only that bin's values and selects
+//!   the rank within them, so the data set is never materialized or
+//!   sorted. A fully covered chunk whose target-bin stats pin its values
+//!   exactly (one value, two nonzero values, or `min == max != 0`)
+//!   contributes them from its summary; only the other covered chunks
+//!   holding the bin, the cut chunks and the tail are decoded.
 //!
 //! The association of a partial is fixed: summary bins in log order, then
 //! one partial per exactly decoded chunk merged in log order, then the
@@ -28,15 +30,15 @@
 //!
 //! The coordinator runs a node's two percentile phases as two queries
 //! ([`partial`], then [`values_in_bin`]), so each node captures two
-//! views. Under live ingest, phase B can therefore see records phase A
-//! did not count. A local percentile runs both phases on one view.
+//! views and walks its summaries twice. Under live ingest, phase B can
+//! therefore see records phase A did not count. A local percentile runs
+//! both phases on one view and one summary walk.
 
 use super::columnar::{self, ScanBuffers};
 use super::executor;
 use super::planner::{self, SummaryPlan};
 use super::view::{QueryView, RegionScan};
 use super::{Aggregate, AggregateResult, IndexMeta, QueryOptions, TimeRange};
-use crate::chunk_index::SummaryRef;
 use crate::error::{LoomError, Result};
 use crate::histogram::HistogramSpec;
 use crate::obs::{QueryPhases, Stopwatch};
@@ -181,10 +183,11 @@ pub(crate) fn run(
     phases: &mut QueryPhases,
 ) -> Result<AggregateResult> {
     let mut pass = Pass::plan(view, meta, range, opts, phases)?;
-    let partial = pass.collect(matches!(method, Aggregate::Percentile(_)))?;
+    let percentile = matches!(method, Aggregate::Percentile(_));
+    let (partial, walk) = pass.collect(percentile, percentile)?;
     let value = match method {
         Aggregate::Percentile(p) => match partial.target(p)? {
-            Some((bin, rank)) => Some(select_rank(pass.values_in_bin(bin)?, bin, rank)?),
+            Some((bin, rank)) => Some(select_rank(pass.values_in_bin(&walk, bin)?, bin, rank)?),
             None => None,
         },
         _ => partial.finish(method),
@@ -207,7 +210,7 @@ pub(crate) fn partial(
     phases: &mut QueryPhases,
 ) -> Result<(Partial, QueryStats)> {
     let mut pass = Pass::plan(view, meta, range, opts, phases)?;
-    let partial = pass.collect(with_bins)?;
+    let (partial, _) = pass.collect(with_bins, false)?;
     Ok((partial, pass.stats))
 }
 
@@ -222,9 +225,40 @@ pub(crate) fn values_in_bin(
     phases: &mut QueryPhases,
 ) -> Result<(Vec<f64>, QueryStats)> {
     let mut pass = Pass::plan(view, meta, range, opts, phases)?;
-    let values = pass.values_in_bin(bin)?;
+    let walk = pass.walk(None, true)?;
+    let values = pass.values_in_bin(&walk, bin)?;
     pass.stats.records_matched = values.len() as u64;
     Ok((values, pass.stats))
+}
+
+/// Appends the values of a bin whose `stats` pin them exactly and
+/// returns whether it did; otherwise only a decode can tell them.
+///
+/// `BinStats::of` stores a single value as is, and `f64::min`/`max` return
+/// one of their operands, so one value, two values, and `count` copies of
+/// `min == max` are exact, except that a zero extreme may be either
+/// `-0.0` or `+0.0` and [`select_rank`] orders by the sign bit. NaN never
+/// reaches a bin. `sum` is rounded, so no value is derived from it.
+fn push_pinned(values: &mut Vec<f64>, stats: &BinStats) -> bool {
+    let (min, max) = (stats.min, stats.max);
+    match stats.count {
+        1 => values.push(min),
+        2 if min != 0.0 && max != 0.0 => values.extend([min, max]),
+        n if min == max && min != 0.0 => values.extend(std::iter::repeat_n(min, n as usize)),
+        _ => return false,
+    }
+    true
+}
+
+/// What one walk of the plan's summaries found, in log order. A local
+/// percentile's two phases share one.
+#[derive(Default)]
+struct Walk<'q> {
+    /// The fully covered chunks holding the index, with its bins; kept
+    /// only for a phase B.
+    covered: Vec<(u64, &'q [(u32, BinStats)])>,
+    /// The chunks the range cuts.
+    cut: Vec<u64>,
 }
 
 /// One aggregate's walk over a view: the plan it follows and the
@@ -264,46 +298,77 @@ impl<'q, 'a> Pass<'q, 'a> {
         })
     }
 
-    /// The partial of the whole range: summary bins of the fully covered
-    /// chunks, then the chunks the range cuts, then the tail.
-    fn collect(&mut self, with_bins: bool) -> Result<Partial> {
-        let meta = self.meta;
-        let spec = &*meta.spec;
-        let mut total = Partial::new(spec, with_bins);
-        let mut cut = Vec::new();
-        self.summaries(|summary, fully| {
-            if !fully {
-                cut.push(summary.chunk_addr());
-            } else if let Some(bins) = summary.index_bins(meta.id.0) {
-                for (bin, s) in bins {
-                    total.fold_bin(*bin, s);
+    /// Walks the plan's summaries whose chunks overlap the range and hold
+    /// the index's source. Folds the bins of each fully covered chunk into
+    /// `total` when given, and keeps them when `keep_covered`.
+    fn walk(&mut self, mut total: Option<&mut Partial>, keep_covered: bool) -> Result<Walk<'q>> {
+        let timer = Stopwatch::start();
+        let (source, index) = (self.meta.source.0, self.meta.id.0);
+        let mut walk = Walk::default();
+        let mut visited = 0;
+        planner::for_each_relevant_summary(
+            self.view,
+            &self.plan,
+            self.range,
+            &mut visited,
+            |summary, fully| {
+                if !summary.has_source(source) {
+                    return Ok(());
                 }
-            }
-        })?;
+                if !fully {
+                    walk.cut.push(summary.chunk_addr());
+                } else if let Some(bins) = summary.index_bins(index) {
+                    if let Some(total) = total.as_deref_mut() {
+                        for (bin, s) in bins {
+                            total.fold_bin(*bin, s);
+                        }
+                    }
+                    if keep_covered {
+                        walk.covered.push((summary.chunk_addr(), bins));
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        self.stats.summaries_scanned += visited;
+        self.phases.select_nanos += timer.elapsed_nanos();
+        self.view.obs.index.summary_probes(visited);
+        Ok(walk)
+    }
+
+    /// The partial of the whole range: summary bins of the fully covered
+    /// chunks, then the chunks the range cuts, then the tail; and the walk
+    /// that found them.
+    fn collect(&mut self, with_bins: bool, keep_covered: bool) -> Result<(Partial, Walk<'q>)> {
+        let spec = &*self.meta.spec;
+        let mut total = Partial::new(spec, with_bins);
+        let walk = self.walk(Some(&mut total), keep_covered)?;
         let fresh = || Partial::new(spec, with_bins);
         let observe = |p: &mut Partial, v: f64| p.observe(spec, v);
-        for chunk in self.for_chunks(&cut, Some(self.range.end), fresh, observe)? {
+        for chunk in self.for_chunks(&walk.cut, Some(self.range.end), fresh, observe)? {
             total.merge(&chunk);
         }
         total.merge(&self.tail(fresh(), observe)?);
-        Ok(total)
+        Ok((total, walk))
     }
 
-    /// Percentile phase B: the values of `bin` in the range, in log order.
-    fn values_in_bin(&mut self, bin: usize) -> Result<Vec<f64>> {
-        let meta = self.meta;
-        let spec = &*meta.spec;
+    /// Percentile phase B: the values of `bin` in the range. Covered
+    /// chunks whose stats pin the bin's values add them from the summary;
+    /// the rest of the covered chunks holding the bin, the cut chunks and
+    /// the tail are decoded.
+    fn values_in_bin(&mut self, walk: &Walk<'_>, bin: usize) -> Result<Vec<f64>> {
+        let spec = &*self.meta.spec;
+        let mut values = Vec::new();
         let mut chunks = Vec::new();
-        self.summaries(|summary, fully| {
-            let holds_bin = || {
-                summary
-                    .index_bins(meta.id.0)
-                    .is_some_and(|bins| bins.iter().any(|(b, s)| *b as usize == bin && s.count > 0))
+        for (addr, bins) in &walk.covered {
+            let Some((_, s)) = bins.iter().find(|(b, s)| *b as usize == bin && s.count > 0) else {
+                continue;
             };
-            if !fully || holds_bin() {
-                chunks.push(summary.chunk_addr());
+            if !push_pinned(&mut values, s) {
+                chunks.push(*addr);
             }
-        })?;
+        }
+        chunks.extend(&walk.cut);
         let keep = |values: &mut Vec<f64>, v: f64| {
             if spec.bin_of(v) == Some(bin) {
                 values.push(v);
@@ -312,32 +377,9 @@ impl<'q, 'a> Pass<'q, 'a> {
         // No early stop: a fully covered chunk has nothing past the range,
         // and reading the cut ones to the end keeps `records_scanned` what
         // the equivalence suites pin.
-        let values = self.for_chunks(&chunks, None, Vec::new, keep)?.concat();
+        let decoded = self.for_chunks(&chunks, None, Vec::new, keep)?;
+        values.extend(decoded.into_iter().flatten());
         self.tail(values, keep)
-    }
-
-    /// Hands `f` every summary of the plan whose chunk overlaps the range
-    /// and holds the index's source, with whether the range covers it.
-    fn summaries(&mut self, mut f: impl FnMut(SummaryRef<'_>, bool)) -> Result<()> {
-        let timer = Stopwatch::start();
-        let source = self.meta.source.0;
-        let mut visited = 0;
-        planner::for_each_relevant_summary(
-            self.view,
-            &self.plan,
-            self.range,
-            &mut visited,
-            |summary, fully| {
-                if summary.has_source(source) {
-                    f(summary, fully);
-                }
-                Ok(())
-            },
-        )?;
-        self.stats.summaries_scanned += visited;
-        self.phases.select_nanos += timer.elapsed_nanos();
-        self.view.obs.index.summary_probes(visited);
-        Ok(())
     }
 
     /// Decodes each of `chunks` and folds its selected values into a

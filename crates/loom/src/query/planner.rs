@@ -111,16 +111,17 @@ pub(crate) fn plan_full(view: &QueryView<'_>) -> Result<SummaryPlan> {
 
 /// Invokes `f(summary, fully_covered_in_time)` for every summary in the
 /// plan whose chunk overlaps `range`, counting every summary visited in
-/// `summaries_scanned`.
-pub(crate) fn for_each_relevant_summary<F>(
-    view: &QueryView<'_>,
+/// `summaries_scanned`. The summaries borrow from `view`'s mirror capture,
+/// so a caller may keep them past the walk.
+pub(crate) fn for_each_relevant_summary<'v, F>(
+    view: &'v QueryView<'_>,
     plan: &SummaryPlan,
     range: TimeRange,
     summaries_scanned: &mut u64,
     mut f: F,
 ) -> Result<()>
 where
-    F: FnMut(SummaryRef<'_>, bool) -> Result<()>,
+    F: FnMut(SummaryRef<'v>, bool) -> Result<()>,
 {
     let (Some(start), Some(stop)) = (plan.start, plan.stop) else {
         return Ok(());

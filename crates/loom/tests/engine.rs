@@ -1157,3 +1157,57 @@ fn value_range_edge_semantics_are_inclusive() {
     assert_eq!(count(50.0, 50.0), 1); // degenerate range = exact match
     assert_eq!(count(99.0, 200.0), 1); // clipped at data max
 }
+
+/// Work budget of a percentile over sealed data. When every chunk's
+/// target bin holds at most two nonzero values, the summaries pin them:
+/// the query decodes no chunk and walks the summaries once, as a `Max`
+/// over the same range does. A dense target bin is decoded chunk by chunk:
+/// all 54 sealed chunks, before summaries answered pinned bins and after.
+#[test]
+fn percentile_budget_decodes_only_unpinned_target_bins() {
+    let mut env = TestEnv::new("pctl-budget");
+    let s = env.loom.define_source("src");
+    let tail = env
+        .loom
+        .define_index(s, extract::u64_le_at(0), latency_spec())
+        .unwrap();
+    let dense = env
+        .loom
+        .define_index(
+            s,
+            extract::u64_le_at(0),
+            HistogramSpec::uniform(0.0, 100.0, 2).unwrap(),
+        )
+        .unwrap();
+    // I.i.d. values below 100, and every 60th record a distinct anomaly
+    // above 100,000: at most two per 4 KiB chunk of 36 B records.
+    let pushed = push_values(&mut env, s, 6_000, 3, |i| {
+        if i % 60 == 59 {
+            100_000 + i
+        } else {
+            (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 100
+        }
+    });
+    env.writer.seal_active_chunk().unwrap();
+    let sealed = env.loom.ingest_stats().chunks_sealed();
+    let mut sorted: Vec<f64> = pushed.iter().map(|(_, v)| *v as f64).collect();
+    sorted.sort_by(f64::total_cmp);
+    let query = |idx, method| {
+        env.loom
+            .query(s)
+            .index(idx)
+            .range(TimeRange::new(0, u64::MAX))
+            .aggregate(method)
+            .unwrap()
+    };
+
+    let p = query(tail, Aggregate::Percentile(99.99));
+    assert_eq!(p.value, sorted.last().copied());
+    assert_eq!((p.stats.chunks_scanned, p.stats.records_scanned), (0, 0));
+    let max = query(tail, Aggregate::Max);
+    assert_eq!(p.stats.summaries_scanned, max.stats.summaries_scanned);
+
+    let p50 = query(dense, Aggregate::Percentile(50.0));
+    assert_eq!(p50.value, Some(sorted[sorted.len() / 2 - 1]));
+    assert_eq!(p50.stats.chunks_scanned, sealed);
+}

@@ -780,3 +780,154 @@ proptest! {
         check_split_invariance(values, gaps, cuts, win, [1, 2, 4][pool])?;
     }
 }
+
+/// Values whose chunk bins pin their percentile answers, and values that
+/// must not be taken from the summary: the zero bin holds `-0.0`, `+0.0`
+/// and `0.5`, so a `-0.0`/`+0.0` pair or run lands in one bin whose
+/// `min`/`max` cannot tell the signs apart; NaN is never binned; the outer
+/// bins get ±inf and huge values about once per chunk. Repeats weight
+/// the draw, and each draw scales its value by a jitter in `[1, 2)`, so
+/// most values are distinct. Half the cases swap ±inf for finite values,
+/// so their extremes are unique and a lost or invented extreme shows.
+const PINNED_POOL: [f64; 20] = [
+    f64::NEG_INFINITY,
+    -1e300,
+    -7.5,
+    -7.5,
+    -3.0,
+    -0.5,
+    -0.0,
+    -0.0,
+    -0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.5,
+    2.0,
+    2.0,
+    42.25,
+    1e5,
+    1e300,
+    f64::INFINITY,
+    f64::NAN,
+];
+
+/// One engine of a pinned-bin check: an `f64` index over tiny chunks, so
+/// each bin holds a handful of values per chunk. The directory goes with
+/// the engine (`Config::small` removes it on drop).
+fn pinned_engine(chunk_size: usize, threads: usize) -> (Loom, loom::LoomWriter, SourceId, IndexId) {
+    let dir = std::env::temp_dir().join(format!(
+        "loom-prop-pinned-{}-{}",
+        std::process::id(),
+        rand_suffix()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = Config::small(&dir)
+        .with_chunk_size(chunk_size)
+        .with_query_threads(threads);
+    let (loom, writer) = Loom::open_with_clock(config, Clock::manual(0)).unwrap();
+    let source = loom.define_source("src");
+    let spec = HistogramSpec::from_bounds(vec![-100.0, -1.0, 0.0, 1.0, 100.0, 1e6]).unwrap();
+    let index = loom
+        .define_index(source, extract::f64_le_at(0), spec)
+        .unwrap();
+    (loom, writer, source, index)
+}
+
+/// Percentiles over runs drawn from [`PINNED_POOL`] must `to_bits`-equal a
+/// sorted nearest-rank brute force, on one engine at `threads` workers and
+/// through a coordinator over the records split by time across two.
+fn check_pinned_percentiles(
+    draws: Vec<(usize, usize, u16)>,
+    with_inf: bool,
+    chunk_size: usize,
+    cut: usize,
+    win: (usize, usize),
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let values: Vec<f64> = draws
+        .iter()
+        .flat_map(|&(i, run, jitter)| {
+            let v = match PINNED_POOL[i] {
+                v if v.is_infinite() && !with_inf => v.signum() * 1e300,
+                v => v,
+            };
+            std::iter::repeat_n(v * (1.0 + f64::from(jitter) / 1024.0), run)
+        })
+        .collect();
+    let cut = cut % (values.len() + 1);
+    let (whole, mut whole_w, s, idx) = pinned_engine(chunk_size, threads);
+    let (a, mut a_w, a_s, a_idx) = pinned_engine(chunk_size, threads);
+    let (b, mut b_w, b_s, b_idx) = pinned_engine(chunk_size, threads);
+    let mut stamps = Vec::with_capacity(values.len());
+    for (i, v) in values.iter().enumerate() {
+        let ts = 100 + i as u64;
+        let payload = v.to_le_bytes();
+        whole.clock().set(ts);
+        whole_w.push(s, &payload).unwrap();
+        let (node, w, src) = if i < cut {
+            (&a, &mut a_w, a_s)
+        } else {
+            (&b, &mut b_w, b_s)
+        };
+        node.clock().set(ts);
+        w.push(src, &payload).unwrap();
+        stamps.push(ts);
+    }
+    let node = |loom: &Loom, source, index| loom::coordinator::Node {
+        name: String::new(),
+        loom: loom.clone(),
+        source,
+        index,
+    };
+    let coord =
+        loom::coordinator::Coordinator::new(vec![node(&a, a_s, a_idx), node(&b, b_s, b_idx)])
+            .unwrap();
+
+    let len = values.len();
+    let (lo, hi) = (win.0 % len, win.1 % len);
+    for (lo, hi) in [(0, len - 1), (lo.min(hi), lo.max(hi))] {
+        let range = TimeRange::new(stamps[lo], stamps[hi]);
+        let mut sorted: Vec<f64> = values[lo..=hi]
+            .iter()
+            .copied()
+            .filter(|v| !v.is_nan())
+            .collect();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        for p in [0.0, 0.01, 50.0, 99.0, 99.99, 100.0] {
+            let expected = (n > 0).then(|| {
+                sorted[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1].to_bits()
+            });
+            let local = whole
+                .query(s)
+                .index(idx)
+                .range(range)
+                .parallelism(threads)
+                .aggregate(Aggregate::Percentile(p))
+                .unwrap();
+            prop_assert_eq!(local.value.map(f64::to_bits), expected, "p{} local", p);
+            prop_assert_eq!(local.count, n as u64);
+            let split = coord.aggregate(range, Aggregate::Percentile(p)).unwrap();
+            prop_assert_eq!(split.value.map(f64::to_bits), expected, "p{} split", p);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn percentiles_from_summaries_match_brute_force(
+        draws in proptest::collection::vec(
+            (0usize..PINNED_POOL.len(), 1usize..4, 0u16..1024), 1..400),
+        with_inf in any::<bool>(),
+        chunk in 0usize..2,
+        cut in 0usize..1000,
+        win in (0usize..1000, 0usize..1000),
+        pool in 0usize..2,
+    ) {
+        check_pinned_percentiles(draws, with_inf, [256, 512][chunk], cut, win, pool + 1)?;
+    }
+}
