@@ -358,6 +358,7 @@ pub struct QueryObs {
     slow_queries: Counter,
     columnar_batches: Counter,
     columnar_rows: Counter,
+    raw_scan_reads: Counter,
     query_latency: LatencyHistogram,
     batch_rows: LatencyHistogram,
     batch_selectivity: LatencyHistogram,
@@ -373,6 +374,7 @@ impl Default for QueryObs {
             slow_queries: Counter::default(),
             columnar_batches: Counter::default(),
             columnar_rows: Counter::default(),
+            raw_scan_reads: Counter::default(),
             query_latency: LatencyHistogram::default_nanos(),
             // Rows per decoded batch: 1 .. 4^10 ≈ 1M, exponential.
             batch_rows: LatencyHistogram::new(
@@ -412,6 +414,13 @@ impl QueryObs {
         let _ = (rows, selected);
     }
 
+    /// A raw scan read one window of hot record bytes or inflated one
+    /// cold chunk.
+    #[inline]
+    pub(crate) fn raw_scan_read(&self) {
+        self.raw_scan_reads.inc();
+    }
+
     fn snapshot(&self) -> QueryMetrics {
         // `observe_query` bumps `queries` before recording the latency
         // sample; reading the histogram first therefore guarantees
@@ -430,6 +439,7 @@ impl QueryObs {
             slow_queries: self.slow_queries.get(),
             columnar_batches: self.columnar_batches.get(),
             columnar_rows: self.columnar_rows.get(),
+            raw_scan_reads: self.raw_scan_reads.get(),
             query_latency,
             batch_rows,
             batch_selectivity,

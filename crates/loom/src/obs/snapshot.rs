@@ -116,6 +116,9 @@ pub struct QueryMetrics {
     pub columnar_batches: u64,
     /// Rows decoded into column batches across all queries.
     pub columnar_rows: u64,
+    /// Windows of hot record bytes read, plus cold chunks inflated, by
+    /// raw scans' chain walks.
+    pub raw_scan_reads: u64,
     /// Latency distribution of whole queries, in nanoseconds.
     pub query_latency: HistogramCounts,
     /// Distribution of rows per decoded column batch.
@@ -273,6 +276,7 @@ impl MetricsSnapshot {
         q.slow_queries += oq.slow_queries;
         q.columnar_batches += oq.columnar_batches;
         q.columnar_rows += oq.columnar_rows;
+        q.raw_scan_reads += oq.raw_scan_reads;
         merge_histogram(&mut q.query_latency, &oq.query_latency);
         merge_histogram(&mut q.batch_rows, &oq.batch_rows);
         merge_histogram(&mut q.batch_selectivity, &oq.batch_selectivity);
@@ -433,6 +437,7 @@ impl MetricsSnapshot {
                 self.query.columnar_batches,
             ),
             ("loom_query_columnar_rows_total", self.query.columnar_rows),
+            ("loom_query_raw_scan_reads_total", self.query.raw_scan_reads),
             ("loom_net_connections_total", self.net.connections),
             ("loom_net_connections_active", self.net.connections_active),
             ("loom_net_frames_read_total", self.net.frames_read),

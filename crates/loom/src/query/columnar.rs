@@ -44,7 +44,7 @@ use crate::durability::LogId;
 use crate::error::{LoomError, Result};
 use crate::extract::{self, ExtractorDesc};
 use crate::obs::EngineObs;
-use crate::record::{RecordHeader, RECORD_HEADER_SIZE};
+use crate::record::{entry_overrun, verify_entry, RecordHeader, RECORD_HEADER_SIZE};
 use crate::registry::SourceId;
 use crate::retention::codec;
 use crate::retention::segment::ChunkFrame;
@@ -301,22 +301,12 @@ impl ColumnBatch {
             }
             let payload_start = pos + RECORD_HEADER_SIZE;
             let payload_end = payload_start + header.len as usize;
+            let addr = base_addr + pos as u64;
             if payload_end > bytes.len() {
-                return Err(LoomError::CorruptLog {
-                    log: LogId::Records,
-                    addr: base_addr + pos as u64,
-                    reason: format!("entry overruns chunk ({} > {})", payload_end, bytes.len()),
-                });
+                return Err(entry_overrun(addr, payload_end, bytes.len()));
             }
             let payload = &bytes[payload_start..payload_end];
-            if !RecordHeader::verify(header_buf, payload) {
-                return Err(LoomError::CorruptLog {
-                    log: LogId::Records,
-                    addr: base_addr + pos as u64,
-                    reason: "record checksum mismatch".into(),
-                });
-            }
-            let addr = base_addr + pos as u64;
+            verify_entry(addr, header_buf, payload)?;
             pos = payload_end;
             if header.is_pad() {
                 continue;

@@ -209,6 +209,15 @@ impl Loom {
     ///
     /// Equivalent to [`Loom::query`] with a [`TimeRange`] and no index;
     /// kept as a named entry point because raw scans are a figure-9 API.
+    ///
+    /// The walk follows the back pointers from the source's first
+    /// timestamp-index mark after the range, reading a window of the
+    /// record's chunk at a time (a cold chunk is inflated once). The
+    /// window doubles while the chain stays inside it and halves toward
+    /// one record when it does not, so a dense source costs about one
+    /// read per chunk and a one-record-per-chunk source one small read
+    /// per record. Every record read is checksummed, including those
+    /// newer than the range; `f` borrows each payload from the window.
     pub fn raw_scan<F>(&self, source: SourceId, range: TimeRange, f: F) -> Result<QueryStats>
     where
         F: FnMut(Record<'_>),

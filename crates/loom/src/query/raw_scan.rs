@@ -5,8 +5,13 @@
 //! index to find the source's first record *after* the range (bounding
 //! the chain walk for historical queries), then walks the source's record
 //! chain backward via the headers' back pointers.
+//!
+//! It reads the log by the window, not by the record ([`ChainReader`]
+//! holds the rule), and verifies every record it reads — newer than the
+//! range, in it, or the older one it stops at: its link, then its `len`
+//! against its chunk, then its checksum.
 
-use super::view::{ColdChunkCache, QueryView};
+use super::view::{ChainReader, QueryView};
 use super::{Record, TimeRange};
 use crate::durability::LogId;
 use crate::error::{LoomError, Result};
@@ -39,8 +44,7 @@ where
     }
 
     let mut addr = start;
-    let mut payload = Vec::new();
-    let mut cache = ColdChunkCache::default();
+    let mut reader = ChainReader::new(view);
     loop {
         if addr < view.cold.pruned_below() {
             // The record was dropped by retention, and the chain walks
@@ -48,10 +52,10 @@ where
             // and dropped too.
             break;
         }
-        let (header, header_buf) = view.read_header(addr, &mut cache)?;
-        // A skipped header is never checksummed, so its link is checked
-        // before the walk follows it: a chain stays in its source and
-        // runs strictly backward, which also bounds the walk.
+        let header = reader.header(addr)?;
+        // The link is checked before anything else the header says is
+        // trusted: a chain stays in its source and runs strictly
+        // backward, which also bounds the walk.
         if header.source != source.0 || (header.prev != NIL_ADDR && header.prev >= addr) {
             return Err(LoomError::CorruptLog {
                 log: LogId::Records,
@@ -62,6 +66,7 @@ where
                 ),
             });
         }
+        let payload = reader.payload(addr, &header)?;
         stats.records_scanned += 1;
         stats.bytes_read += RECORD_HEADER_SIZE as u64;
         if header.ts < range.start {
@@ -70,14 +75,13 @@ where
             break;
         }
         if header.ts <= range.end {
-            view.read_payload(addr, &header, &header_buf, &mut payload, &mut cache)?;
             stats.bytes_read += header.len as u64;
             stats.records_matched += 1;
             f(Record {
                 addr,
                 source,
                 ts: header.ts,
-                payload: &payload,
+                payload,
             });
         }
         if header.prev == NIL_ADDR {

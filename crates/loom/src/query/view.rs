@@ -12,14 +12,13 @@
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use super::columnar::BufferPool;
+use super::columnar::{BufferPool, ScanBuffers};
 use crate::chunk_index::MirrorSnapshot;
-use crate::durability::LogId;
 use crate::engine::Inner;
-use crate::error::{LoomError, Result};
+use crate::error::Result;
 use crate::hybridlog::Snapshot;
 use crate::obs::Obs;
-use crate::record::{RecordHeader, RECORD_HEADER_SIZE};
+use crate::record::{entry_overrun, verify_entry, RecordHeader, RECORD_HEADER_SIZE};
 use crate::registry::{SourceId, SourceShared};
 use crate::retention::ColdSnap;
 use crate::stats::QueryStats;
@@ -126,90 +125,6 @@ impl<'a> QueryView<'a> {
             .max(1)
     }
 
-    /// Reads a record header from whichever tier owns its chunk,
-    /// returning the decoded header together with its raw bytes (needed
-    /// to verify the entry checksum once the payload is available).
-    pub fn read_header(
-        &self,
-        addr: u64,
-        cache: &mut ColdChunkCache,
-    ) -> Result<(RecordHeader, [u8; RECORD_HEADER_SIZE])> {
-        let mut buf = [0u8; RECORD_HEADER_SIZE];
-        self.read_at_tiered(addr, &mut buf, cache)?;
-        Ok((RecordHeader::decode(&buf)?, buf))
-    }
-
-    /// Reads a record's payload into `buf` (resized to fit) and verifies
-    /// the entry checksum against `header_buf`.
-    ///
-    /// The header is not verified yet, so its `len` is bounded first:
-    /// records never span chunks, and an entry that would run past its
-    /// chunk's piece fails as `decode_records` fails it, before anything
-    /// is allocated or read.
-    pub fn read_payload(
-        &self,
-        addr: u64,
-        header: &RecordHeader,
-        header_buf: &[u8; RECORD_HEADER_SIZE],
-        buf: &mut Vec<u8>,
-        cache: &mut ColdChunkCache,
-    ) -> Result<()> {
-        let base = addr - addr % self.chunk_size;
-        let piece = if self.cold.owns(base) {
-            self.chunk_size
-        } else {
-            self.piece_len(base) as u64
-        };
-        let end = addr - base + header.entry_size() as u64;
-        if end > piece {
-            return Err(LoomError::CorruptLog {
-                log: LogId::Records,
-                addr,
-                reason: format!("entry overruns chunk ({end} > {piece})"),
-            });
-        }
-        buf.resize(header.len as usize, 0);
-        self.read_at_tiered(addr + RECORD_HEADER_SIZE as u64, buf, cache)?;
-        if !RecordHeader::verify(header_buf, buf) {
-            return Err(LoomError::CorruptLog {
-                log: LogId::Records,
-                addr,
-                reason: "record checksum mismatch".into(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads `out.len()` bytes at `addr` from whichever tier owns the
-    /// containing chunk (records never span chunks, so one chunk always
-    /// does). Cold chunks decompress through `cache`, which holds the
-    /// last chunk touched — the raw chain walk revisits the same chunk
-    /// many times.
-    fn read_at_tiered(&self, addr: u64, out: &mut [u8], cache: &mut ColdChunkCache) -> Result<()> {
-        let base = addr - addr % self.chunk_size;
-        if self.cold.owns(base) {
-            if cache.addr != Some(base) {
-                self.cold
-                    .read_chunk(base, &mut cache.frame, &mut cache.bytes)?;
-                self.obs.engine.cold_chunk_read();
-                self.obs.engine.cold_byte_decodes(1);
-                cache.addr = Some(base);
-            }
-            let off = (addr - base) as usize;
-            let n = cache.bytes.len().saturating_sub(off).min(out.len());
-            out[n..].fill(0);
-            out[..n].copy_from_slice(&cache.bytes[off..off + n]);
-            return Ok(());
-        }
-        if addr + out.len() as u64 <= self.cold.pruned_below() {
-            // Dropped by retention: reads see zeros no matter what
-            // bytes the hot log might still stage for the region.
-            out.fill(0);
-            return Ok(());
-        }
-        self.rec.read_at(addr, out)
-    }
-
     /// Length of the chunk piece at chunk-aligned `chunk_addr`, clamped
     /// to the record watermark: `0` at or past it.
     pub fn piece_len(&self, chunk_addr: u64) -> usize {
@@ -246,17 +161,167 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// One-chunk cache of decompressed cold bytes for record-at-a-time
-/// reads: the raw chain walk touches the same chunk once per record,
-/// and decompressing per read would be quadratic in records-per-chunk.
-#[derive(Default)]
-pub(crate) struct ColdChunkCache {
-    /// Chunk address of the cached bytes, if any.
-    addr: Option<u64>,
-    /// The decompressed chunk.
-    bytes: Vec<u8>,
-    /// The last segment frame read, reused across cache misses.
-    frame: Vec<u8>,
+/// Bytes the first hot window of a chain walk reaches below its end: one
+/// page.
+const FIRST_SPAN: usize = 4096;
+
+/// The entry size assumed above the walk's first record; afterwards a
+/// window ends one entry of the last record's size above the record it
+/// is read for.
+const FIRST_ENTRY: usize = 256;
+
+/// The raw scan's record reader: it serves every header and payload the
+/// back-pointer walk visits from a window of the record's chunk, held in
+/// a pooled [`ScanBuffers`] buffer.
+///
+/// A cold-owned chunk is inflated whole, once, when the walk enters it.
+/// A hot window is one `Snapshot::read_at` of `[end - span, end)`, where
+/// `end` is one entry above the record that missed, clamped to the
+/// record's chunk, the prune floor and the snapshot's watermark; the
+/// rest of an entry longer than that costs one more read. After a window
+/// that served two or more records `span` doubles, up to the chunk size;
+/// after one that served a single record it halves, down to one entry.
+/// A dense source thus costs about one read per chunk piece, and a
+/// source with one record per chunk one read of its bytes per record.
+pub(crate) struct ChainReader<'v, 'a> {
+    view: &'v QueryView<'a>,
+    bufs: ScanBuffers,
+    /// The window is `[lo, hi)`; `bufs.chunk[0]` holds address `lo`.
+    lo: u64,
+    hi: u64,
+    /// Whether the window is a whole inflated cold chunk.
+    cold: bool,
+    span: usize,
+    /// Size of the last entry read.
+    entry: usize,
+    /// Records served from the current window.
+    served: u32,
+}
+
+impl<'v, 'a> ChainReader<'v, 'a> {
+    /// A reader over `view` with an empty window.
+    pub fn new(view: &'v QueryView<'a>) -> Self {
+        ChainReader {
+            view,
+            bufs: view.bufs.acquire(),
+            lo: 0,
+            hi: 0,
+            cold: false,
+            span: FIRST_SPAN,
+            entry: FIRST_ENTRY,
+            served: 0,
+        }
+    }
+
+    /// Decodes the header at `addr`, moving the window first when it
+    /// does not hold it. Nothing is verified yet: see
+    /// [`payload`](Self::payload).
+    pub fn header(&mut self, addr: u64) -> Result<RecordHeader> {
+        if !(self.lo <= addr && addr + RECORD_HEADER_SIZE as u64 <= self.hi) {
+            self.fill(addr)?;
+        }
+        self.served += 1;
+        RecordHeader::decode(&self.bufs.chunk[(addr - self.lo) as usize..])
+    }
+
+    /// The verified payload of the record at `addr`, whose header was
+    /// just read. Its `len` is bounded by the record's chunk piece before
+    /// anything more is read, as `decode_records` bounds it.
+    pub fn payload(&mut self, addr: u64, header: &RecordHeader) -> Result<&[u8]> {
+        let (base, piece) = self.piece(addr, self.cold);
+        let entry = header.entry_size();
+        let end = (addr - base) as usize + entry;
+        if end > piece {
+            return Err(entry_overrun(addr, end, piece));
+        }
+        if addr + entry as u64 > self.hi {
+            // Only a hot window ends short of its piece.
+            self.read_hot(self.lo, addr + entry as u64)?;
+        }
+        self.entry = entry;
+        let off = (addr - self.lo) as usize;
+        let (head, payload) = self.bufs.chunk[off..off + entry].split_at(RECORD_HEADER_SIZE);
+        verify_entry(addr, head, payload)?;
+        Ok(payload)
+    }
+
+    /// The chunk base of `addr` and the length of its piece.
+    fn piece(&self, addr: u64, cold: bool) -> (u64, usize) {
+        let size = self.view.chunk_size;
+        let base = addr - addr % size;
+        let len = if cold {
+            size as usize
+        } else {
+            self.view.piece_len(base)
+        };
+        (base, len)
+    }
+
+    /// Moves the window to the chunk of `addr`, holding its header.
+    fn fill(&mut self, addr: u64) -> Result<()> {
+        let view = self.view;
+        match self.served {
+            0 => {}
+            1 => self.span /= 2,
+            _ => self.span = (self.span * 2).min(view.chunk_size as usize),
+        }
+        // At least one entry, so the window reaches down to `addr`.
+        self.span = self.span.max(self.entry);
+        self.served = 0;
+        let cold = view.cold.owns(addr - addr % view.chunk_size);
+        let (base, piece) = self.piece(addr, cold);
+        let end = (addr - base) as usize + RECORD_HEADER_SIZE;
+        if end > piece {
+            return Err(entry_overrun(addr, end, piece));
+        }
+        if cold {
+            let chunk = &mut self.bufs.chunk;
+            view.cold.read_chunk(base, &mut self.bufs.frame, chunk)?;
+            // Bytes past the inflated chunk read as zeros.
+            chunk.resize(chunk.len().max(piece), 0);
+            view.obs.engine.cold_chunk_read();
+            view.obs.engine.cold_byte_decodes(1);
+            view.obs.query.raw_scan_read();
+            (self.lo, self.hi, self.cold) = (base, base + piece as u64, true);
+        } else {
+            let hi = (base + piece as u64).min(addr + self.entry as u64);
+            // The walk stops at the prune floor, so `addr` is above it.
+            let lo = hi
+                .saturating_sub(self.span as u64)
+                .max(base)
+                .max(view.cold.pruned_below());
+            self.read_hot(lo, hi)?;
+            self.cold = false;
+        }
+        Ok(())
+    }
+
+    /// Makes the window the hot bytes `[lo, hi)` with one read of what
+    /// it does not hold yet: all of them, or, when the hot window starts
+    /// at `lo` already, the bytes past its end.
+    fn read_hot(&mut self, lo: u64, hi: u64) -> Result<()> {
+        let from = if lo == self.lo && !self.cold {
+            self.hi.min(hi)
+        } else {
+            lo
+        };
+        let len = (hi - lo) as usize;
+        if self.bufs.chunk.len() < len {
+            self.bufs.chunk.resize(len, 0);
+        }
+        let off = (from - lo) as usize;
+        let rec = &self.view.rec;
+        rec.read_at(from, &mut self.bufs.chunk[off..len])?;
+        self.view.obs.query.raw_scan_read();
+        (self.lo, self.hi) = (lo, hi);
+        Ok(())
+    }
+}
+
+impl Drop for ChainReader<'_, '_> {
+    fn drop(&mut self) {
+        self.view.bufs.release(std::mem::take(&mut self.bufs));
+    }
 }
 
 /// Counters produced by decoding chunk pieces.

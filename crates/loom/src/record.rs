@@ -105,6 +105,32 @@ impl RecordHeader {
     }
 }
 
+/// The corruption every record reader reports for the entry at `addr`
+/// whose end, `end` bytes into its chunk piece, runs past the piece's
+/// `len` bytes.
+#[cold]
+pub(crate) fn entry_overrun(addr: u64, end: usize, len: usize) -> LoomError {
+    LoomError::CorruptLog {
+        log: LogId::Records,
+        addr,
+        reason: format!("entry overruns chunk ({end} > {len})"),
+    }
+}
+
+/// Verifies the checksum of the entry at `addr`, failing as every
+/// record reader does.
+#[inline]
+pub(crate) fn verify_entry(addr: u64, header_buf: &[u8], payload: &[u8]) -> Result<()> {
+    if !RecordHeader::verify(header_buf, payload) {
+        return Err(LoomError::CorruptLog {
+            log: LogId::Records,
+            addr,
+            reason: "record checksum mismatch".into(),
+        });
+    }
+    Ok(())
+}
+
 /// A record parsed out of a chunk, with its address and borrowed payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord<'a> {
@@ -161,26 +187,14 @@ impl<'a> Iterator for ChunkIter<'a> {
             }
             let payload_start = self.pos + RECORD_HEADER_SIZE;
             let payload_end = payload_start + header.len as usize;
+            let addr = self.base_addr + self.pos as u64;
             if payload_end > self.bytes.len() {
-                return Some(Err(LoomError::CorruptLog {
-                    log: LogId::Records,
-                    addr: self.base_addr + self.pos as u64,
-                    reason: format!(
-                        "entry overruns chunk ({} > {})",
-                        payload_end,
-                        self.bytes.len()
-                    ),
-                }));
+                return Some(Err(entry_overrun(addr, payload_end, self.bytes.len())));
             }
             let payload = &self.bytes[payload_start..payload_end];
-            if !RecordHeader::verify(header_buf, payload) {
-                return Some(Err(LoomError::CorruptLog {
-                    log: LogId::Records,
-                    addr: self.base_addr + self.pos as u64,
-                    reason: "record checksum mismatch".into(),
-                }));
+            if let Err(e) = verify_entry(addr, header_buf, payload) {
+                return Some(Err(e));
             }
-            let addr = self.base_addr + self.pos as u64;
             self.pos = payload_end;
             if header.is_pad() {
                 continue;

@@ -227,9 +227,9 @@ impl<'a, R: LogRead> TsIndexView<'a, R> {
     /// Finds the latest chunk-seal entry with `ts <= t`, if any.
     pub fn last_seal_at_or_before(&self, t: u64) -> Result<Option<TsEntry>> {
         let pos = self.partition_by_ts(t)?;
-        // Walk backward from the partition point to the nearest seal, using
-        // the seal chain once one is found. The backward walk is bounded by
-        // the mark period times the number of sources in the worst case.
+        // Walk backward from the partition point, entry by entry, to the
+        // nearest seal. The walk is bounded by the mark period times the
+        // number of sources in the worst case.
         Ok(self
             .find_backward(pos, |e| e.kind == TsKind::ChunkSeal)?
             .map(|(_, e)| e))

@@ -111,6 +111,300 @@ fn raw_scan_interleaved_sources_stay_separate() {
     assert_eq!(got, a_recs);
 }
 
+/// A flat engine over `dir` with 16 KiB chunks in 64 KiB blocks and
+/// the given retention policy, pinned against the `LOOM_TEST_*`
+/// overrides.
+fn raw_scan_config(dir: &std::path::Path, retention: loom::RetentionConfig) -> Config {
+    let mut config = Config::small(dir)
+        .with_shards(1)
+        .with_chunk_size(16 * 1024)
+        .with_retention(retention);
+    config.remove_on_drop = false;
+    config
+}
+
+/// One pushed record of the raw-scan model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Pushed {
+    addr: u64,
+    ts: u64,
+    payload: Vec<u8>,
+}
+
+/// The engine's raw scan of `s` over `range` against the straight-line
+/// model: `recs` (`s`'s records, oldest first, all of them ever pushed)
+/// with those below address `floor` dropped, filtered by `range` and
+/// reversed. Also checks the work counters: the walk starts at the first
+/// timestamp-index mark (every `mark_period`-th record) after the range,
+/// or at the newest record, and reads every record down to the first one
+/// older than the range, the first one dropped, or the chain's end.
+fn check_raw_scan(
+    loom: &Loom,
+    s: SourceId,
+    recs: &[Pushed],
+    floor: u64,
+    mark_period: usize,
+    range: TimeRange,
+    what: &str,
+) {
+    let mut got = Vec::new();
+    let stats = loom
+        .raw_scan(s, range, |r| {
+            got.push(Pushed {
+                addr: r.addr,
+                ts: r.ts,
+                payload: r.payload.to_vec(),
+            })
+        })
+        .unwrap();
+    let live = recs.partition_point(|r| r.addr < floor);
+    let expected: Vec<Pushed> = recs[live..]
+        .iter()
+        .rev()
+        .filter(|r| range.contains(r.ts))
+        .cloned()
+        .collect();
+    assert_eq!(got.len(), expected.len(), "{what}: {range:?}");
+    assert!(got == expected, "{what}: {range:?}");
+
+    let start = (0..recs.len())
+        .step_by(mark_period)
+        .find(|&i| recs[i].ts > range.end)
+        .unwrap_or(recs.len() - 1);
+    let stop = recs[..=start]
+        .iter()
+        .rposition(|r| r.ts < range.start)
+        .unwrap_or(0)
+        .max(live);
+    let scanned = (start + 1).saturating_sub(stop) as u64;
+    let payload_bytes: u64 = expected.iter().map(|r| r.payload.len() as u64).sum();
+    assert_eq!(
+        stats.records_matched,
+        expected.len() as u64,
+        "{what}: {range:?}"
+    );
+    assert_eq!(stats.records_scanned, scanned, "{what}: {range:?}");
+    assert_eq!(
+        stats.bytes_read,
+        28 * scanned + payload_bytes,
+        "{what}: {range:?}"
+    );
+}
+
+/// The raw scan's chain walk reads the record log in windows of a chunk;
+/// whatever the windows do, it must deliver exactly the straight-line
+/// answer. Three sources at three chain densities — one record per
+/// chunk, one in eight, and runs of every record — among busy neighbours,
+/// with payloads from 0 B to one past the walk's first 4 KiB window, are
+/// scanned over ranges that cut chunks, in four states: live, with an
+/// unsealed tail chunk that straddles the record snapshot's file and
+/// memory parts; after a clean reopen; after a crash and reopen; and
+/// after a retention round that ages every sealed chunk and prunes one
+/// slice.
+#[test]
+fn raw_scan_matches_a_straight_line_model() {
+    const CHUNK: u64 = 16 * 1024;
+    const DT: u64 = 10;
+    const N: u64 = 9_000;
+    let dir = std::env::temp_dir().join(format!("loom-engine-rawmodel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = raw_scan_config(&dir, loom::RetentionConfig::default());
+    let mark_period = config.ts_mark_period as usize;
+    let (loom, mut writer) = Loom::open_with_clock(config.clone(), Clock::manual(0)).unwrap();
+    let names = ["sparse", "dense", "runs", "noise-a", "noise-b"];
+    let ids: Vec<SourceId> = names.iter().map(|n| loom.define_source(n)).collect();
+    let sizes = [0usize, 1, 7, 8, 24, 48, 100, 333, 1_000, 4_097];
+    let mut recs: Vec<Vec<Pushed>> = vec![Vec::new(); names.len()];
+    let mut last_chunk = u64::MAX;
+    let mut sparse_chunk = u64::MAX;
+    for i in 0..N {
+        let ts = loom.clock().advance(DT);
+        // The sparse source writes the first record of a chunk it has not
+        // written yet; the dense one every 8th record; the runs source
+        // 150 records in a row every 1,000; the neighbours the rest.
+        let who = if last_chunk != sparse_chunk {
+            0
+        } else if i % 1_000 < 150 {
+            2
+        } else if i % 8 == 0 {
+            1
+        } else {
+            3 + (i % 2) as usize
+        };
+        let len = match who {
+            0 | 1 => sizes[(i as usize / 8) % sizes.len()],
+            2 => sizes[(i as usize) % 6],
+            _ => 60 + (i % 50) as usize,
+        };
+        let payload: Vec<u8> = (0..len).map(|j| (i as usize * 31 + j) as u8).collect();
+        let addr = writer.push(ids[who], &payload).unwrap();
+        last_chunk = addr / CHUNK;
+        if who == 0 {
+            sparse_chunk = last_chunk;
+        }
+        recs[who].push(Pushed { addr, ts, payload });
+        // Flush part of the tail chunk, so the live snapshot holds the
+        // rest of it in memory.
+        if i == N - 40 {
+            writer.sync().unwrap();
+        }
+    }
+    let tail = recs.iter().flatten().map(|r| r.addr).max().unwrap();
+    assert_ne!(tail % CHUNK, 0, "the last chunk must be unsealed");
+    assert!(recs[0].len() > 30, "{} sparse records", recs[0].len());
+
+    let mut ranges = vec![
+        TimeRange::new(0, u64::MAX),
+        TimeRange::new(0, 5),
+        TimeRange::new(N * DT + 1_000, u64::MAX),
+    ];
+    for (a, b) in [
+        (1, 2),
+        (7, 8),
+        (100, 2_000),
+        (3_333, 3_334),
+        (4_000, 8_995),
+        (8_950, 8_999),
+    ] {
+        // Between records, so the range's ends cut whatever chunk they
+        // fall in.
+        ranges.push(TimeRange::new(a * DT + 3, b * DT + 7));
+    }
+    let check_all = |loom: &Loom, floor: u64, what: &str| {
+        for (k, r) in recs.iter().enumerate().take(3) {
+            for &range in &ranges {
+                check_raw_scan(
+                    loom,
+                    ids[k],
+                    r,
+                    floor,
+                    mark_period,
+                    range,
+                    &format!("{what}, {}", names[k]),
+                );
+            }
+        }
+    };
+
+    check_all(&loom, 0, "live");
+    writer.close().unwrap();
+    drop(loom);
+
+    let (loom, mut writer) = Loom::open_with_clock(config.clone(), Clock::manual(0)).unwrap();
+    assert!(loom.recovery_report().unwrap().clean);
+    check_all(&loom, 0, "clean reopen");
+    writer.sync_durable().unwrap();
+    writer.simulate_crash();
+    drop(loom);
+
+    let (loom, writer) = Loom::open_with_clock(config.clone(), Clock::manual(0)).unwrap();
+    assert!(!loom.recovery_report().unwrap().clean);
+    check_all(&loom, 0, "crash reopen");
+    writer.close().unwrap();
+    drop(loom);
+
+    // History spans N * DT = 90,000 ns: four 25,000-ns slices, of which
+    // a round at now ≈ 91,000 drops the first alone.
+    let aging = loom::RetentionConfig {
+        enabled: true,
+        cold_after: 0,
+        slice: 25_000,
+        drop_after: Some(60_000),
+        interval: None,
+        compact_on_seal: false,
+    };
+    let (loom, writer) =
+        Loom::open_with_clock(raw_scan_config(&dir, aging), Clock::manual(0)).unwrap();
+    loom.clock().advance(1_000);
+    loom.compact().unwrap();
+    let tier = &loom.tier_stats()[0];
+    assert!(tier.hot_chunks <= 1, "every sealed chunk ages: {tier:?}");
+    assert_eq!(tier.cold.pruned_slices, 1, "{tier:?}");
+    let floor = tier.cold.pruned_chunks * CHUNK;
+    assert!(floor > 0 && floor < tail);
+    check_all(&loom, floor, "aged and pruned");
+    writer.close().unwrap();
+    drop(loom);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The metric's value in the engine's snapshot.
+fn counter(loom: &Loom, name: &str) -> u64 {
+    loom.metrics_snapshot()
+        .named_values()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
+        .unwrap()
+}
+
+/// The raw scan's work budget, which timing noise cannot blur: a source
+/// with one record in eight costs at most two reads of the record log
+/// per chunk piece its chain visits, and a source with one record per
+/// chunk at most one read per record.
+#[test]
+fn raw_scan_reads_scale_with_chain_density() {
+    // The read counter is a self-obs no-op when the feature is compiled
+    // out.
+    if !cfg!(feature = "self-obs") {
+        return;
+    }
+    const CHUNK: u64 = 16 * 1024;
+    let dir = std::env::temp_dir().join(format!("loom-engine-rawreads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = raw_scan_config(&dir, loom::RetentionConfig::default());
+    let (loom, mut writer) = Loom::open_with_clock(config, Clock::manual(0)).unwrap();
+    let sparse = loom.define_source("sparse");
+    let dense = loom.define_source("dense");
+    let noise = loom.define_source("noise");
+    let mut last_chunk = u64::MAX;
+    let mut sparse_chunk = u64::MAX;
+    for i in 0..40_000u64 {
+        loom.clock().advance(10);
+        let source = if last_chunk != sparse_chunk {
+            sparse
+        } else if i % 8 == 0 {
+            dense
+        } else {
+            noise
+        };
+        let addr = writer.push(source, &[i as u8; 48]).unwrap();
+        last_chunk = addr / CHUNK;
+        if source == sparse {
+            sparse_chunk = last_chunk;
+        }
+    }
+    writer.sync().unwrap();
+
+    let all = TimeRange::new(0, u64::MAX);
+    let reads = |source| {
+        let before = counter(&loom, "loom_query_raw_scan_reads_total");
+        let mut chunks = std::collections::BTreeSet::new();
+        let stats = loom
+            .raw_scan(source, all, |r| {
+                chunks.insert(r.addr / CHUNK);
+            })
+            .unwrap();
+        let reads = counter(&loom, "loom_query_raw_scan_reads_total") - before;
+        (reads, chunks.len() as u64, stats.records_scanned)
+    };
+    let (dense_reads, dense_chunks, _) = reads(dense);
+    assert!(dense_chunks >= 10, "{dense_chunks} chunks");
+    assert!(
+        dense_reads <= 2 * dense_chunks,
+        "{dense_reads} reads for {dense_chunks} chunk pieces"
+    );
+    let (sparse_reads, sparse_chunks, sparse_records) = reads(sparse);
+    assert_eq!(sparse_chunks, sparse_records, "one sparse record per chunk");
+    assert!(
+        sparse_reads <= sparse_records,
+        "{sparse_reads} reads for {sparse_records} records"
+    );
+    writer.close().unwrap();
+    drop(loom);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn indexed_scan_matches_brute_force_filter() {
     let mut env = TestEnv::new("iscan");

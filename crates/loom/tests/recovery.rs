@@ -480,10 +480,11 @@ fn patch(path: &std::path::Path, at: u64, bytes: &[u8]) {
     file.sync_all().unwrap();
 }
 
-/// A raw scan follows the back pointers of records newer than its range
-/// without checksumming them. A corrupt link there — a `prev` at its own
-/// address or forward, or a header of another source — must end the walk
-/// with `CorruptLog { log: Records }` at that record instead of looping
+/// A raw scan follows the back pointers of records newer than its range,
+/// and checks each link before it trusts anything else the header says.
+/// A corrupt link there — a `prev` at its own address or forward, or a
+/// header of another source — must end the walk with
+/// `CorruptLog { log: Records }` at that record instead of looping
 /// forever or crossing into another chain. The scan runs on a helper
 /// thread, so a walk that never ends fails the test instead of hanging it.
 #[test]
@@ -559,6 +560,35 @@ fn raw_scan_bounds_a_corrupt_payload_length_by_its_chunk() {
     let idx = loom.indexes_of(s)[0];
     let indexed = loom.query(s).index(idx).scan(|_| {}).map(drop);
     assert_eq!(format!("{indexed:?}"), format!("{:?}", raw.map(drop)));
+}
+
+/// A raw scan verifies the checksum of every record its walk reads, not
+/// only of those in its range: a flipped payload byte in a record newer
+/// than the range fails the scan at that record.
+#[test]
+fn raw_scan_fails_on_a_flipped_payload_past_its_range() {
+    let env = Env::new("raw-payload");
+    let (recs, _, config) = clean_dir_for_raw_scans(&env);
+    let path = env.dir.join(LogId::Records.file_name());
+    let (victim, _) = recs[1];
+    let at = victim + loom::record::RECORD_HEADER_SIZE as u64;
+    let mut byte = std::fs::read(&path).unwrap()[at as usize];
+    byte ^= 0x01;
+    patch(&path, at, &[byte]);
+    let (loom, _w) = Loom::open_with_clock(config, Clock::manual(0)).unwrap();
+    assert!(loom.recovery_report().unwrap().clean);
+    let s = loom.sources()[0].0;
+    let raw = loom.raw_scan(s, TimeRange::new(0, recs[2].1), |_| {});
+    let Err(LoomError::CorruptLog {
+        log: LogId::Records,
+        addr,
+        ref reason,
+    }) = raw
+    else {
+        panic!("raw scan returned {raw:?}");
+    };
+    assert_eq!(addr, victim);
+    assert_eq!(reason, "record checksum mismatch");
 }
 
 #[test]
